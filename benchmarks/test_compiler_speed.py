@@ -1,6 +1,9 @@
 """Compile-time benchmarks: the paper claims near-linear optimal pruning
-(O(mn) with no SCCs in practice) and polynomial bimodal placement; these
-micro-benchmarks keep the implementation honest about asymptotics.
+(O(mn) with no SCCs in practice) and polynomial bimodal placement.  The
+pruning benchmarks scale two shapes: a straight-line chain of regions,
+where every value has one definition, and a chain of two-way diamonds,
+where the value reaching the end depends on 2^k paths through k joins, so
+a validator that walked paths instead of definitions would blow up.
 
 Timings go through the :mod:`repro.perf` repeater (warmup discard, GC
 isolation, CI-driven stopping), so the recorded medians carry
@@ -78,8 +81,29 @@ def _chain_kernel(n_regions: int):
     return b.finish()
 
 
-def _pruning_median(n_regions: int) -> float:
-    kernel = _chain_kernel(n_regions)
+def _diamond_kernel(n_diamonds: int):
+    """``n_diamonds`` chained two-way diamonds over one register,
+    ``x = p ? x + 1 : x + 2``, live into the region of the final store."""
+    b = KernelBuilder("diamonds", params=[("A", "ptr")])
+    tid = b.special_u32("%tid.x")
+    a = b.ld_param("A")
+    addr = b.add(a, b.shl(tid, 2))
+    b.ld("global", addr, dtype="u32")
+    x = b.mov(tid, dst=b.reg("u32", "%x"))
+    for i in range(n_diamonds):
+        p = b.setp("lt", tid, i + 1)
+        b.bra(f"THEN{i}", pred=p)
+        b.add(x, 2, dst=x)
+        b.bra(f"JOIN{i}")
+        b.label(f"THEN{i}")
+        b.add(x, 1, dst=x)
+        b.label(f"JOIN{i}")
+    b.st("global", addr, x)
+    b.ret()
+    return b.finish()
+
+
+def _pruning_median(kernel) -> float:
     form_regions(kernel)
     cfg = CFG(kernel)
     rdefs = ReachingDefs(cfg)
@@ -110,17 +134,22 @@ def _pruning_median(n_regions: int) -> float:
     return rep.summary.median
 
 
-def test_optimal_pruning_scales():
-    small, large = _pruning_median(8), _pruning_median(32)
+_SHAPES = {"regions": _chain_kernel, "diamonds": _diamond_kernel}
+
+
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+def test_optimal_pruning_scales(shape):
+    make = _SHAPES[shape]
+    small, large = _pruning_median(make(8)), _pruning_median(make(32))
     growth = large / small
     record_table(
-        "optimal pruning scaling",
-        f"prune_optimal: 8 regions {small*1e3:.2f}ms -> "
-        f"32 regions {large*1e3:.2f}ms ({growth:.1f}x for 4x regions)",
+        f"optimal pruning scaling ({shape})",
+        f"prune_optimal: 8 {shape} {small*1e3:.2f}ms -> "
+        f"32 {shape} {large*1e3:.2f}ms ({growth:.1f}x for 4x {shape})",
     )
-    # Near-linear claim, generously gated: a 4x region count may not
-    # exceed ~quadratic growth even on a noisy box.
+    # Near-linear claim, generously gated: a 4x size may not exceed
+    # ~quadratic growth even on a noisy box.
     assert growth < 16.0, (
-        f"pruning grew {growth:.1f}x for a 4x region increase "
+        f"pruning grew {growth:.1f}x for a 4x {shape} increase "
         f"({small*1e3:.2f}ms -> {large*1e3:.2f}ms)"
     )

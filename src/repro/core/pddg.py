@@ -22,13 +22,33 @@ Deviations from the paper, chosen to keep the produced recovery slices
 - A committed checkpoint's slot is only trusted under conservative
   conditions (LUP-kind, sole writer of its slot, not inside a loop); see
   :meth:`PddgValidator._slot_usable`.
+
+Dependences are acyclic except around loops, and a definition is
+typically reached along many paths.  Walking them as a tree costs one
+visit per *path* (2^k for k chained two-way joins), so within one public
+query (:meth:`PddgValidator.validate_checkpoint` or
+:meth:`PddgValidator.value_at`) each definition's result is memoized.
+Decisions are fixed within a query, so the only thing a definition's
+sub-walk reads besides the site itself is the cycle check against the
+current path.  A memo entry therefore records the set ``Q`` of sites the
+sub-walk tested against the path and the subset ``H`` of them that were
+ancestors (on the path) at the time, and is reused only where the current
+path meets ``Q`` in exactly ``H``: every test then gets the same answer,
+so the walk would replay identically and return the stored result.  The
+memo is cleared at the start of each query, because pruning decisions
+change between queries, and the root call of a checkpoint's validation is
+never memoized, because it alone treats its own checkpoint as
+not-a-checkpoint.  Cost: each definition is evaluated about once per query
+(more only where differing ancestors defeat reuse around loops); site sets
+are bitmasks over the validator's sites, so an entry is two integers and a
+result, and each evaluation ORs its tested set into its parent's.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.analysis.alias import AliasAnalysis, AliasResult
 from repro.analysis.cfg import CFG
@@ -84,6 +104,17 @@ class Marked:
 DecisionFn = Callable[[PlannedCheckpoint], Optional[PruneState]]
 
 
+@dataclass(frozen=True)
+class _MemoEntry:
+    """A definition's result within one query, reusable wherever the path
+    meets ``tested`` (the sites its sub-walk checked against the path,
+    itself excluded) in exactly ``on_path``.  Both are site bitmasks."""
+
+    tested: int
+    on_path: int
+    marked: Marked
+
+
 class PddgValidator:
     """Shared machinery for phase-1/phase-2 validation and restore slices."""
 
@@ -106,7 +137,22 @@ class PddgValidator:
         self.loops = loops
         self.ctrldep = ctrldep
         self.coloring = coloring
+        #: failed join linearizations among evaluated (not memo-reused) nodes
         self.materialization_failures = 0
+        #: definition nodes walked, and walks skipped by a memo entry
+        self.evaluated = 0
+        self.memo_hits = 0
+
+        # Per-query walk state.  A set of sites is a bitmask over ``_bit``
+        # (the n-th site the validator meets is 1 << n): the sites on the
+        # current path, the memo, and for every open evaluation the sites
+        # its sub-walk has tested against the path.
+        self._bit: Dict[DefSite, int] = {}
+        self._path = 0
+        self._memo: Dict[int, _MemoEntry] = {}
+        self._tested: List[int] = []
+        #: memory_intact answers by load
+        self._intact: Dict[Tuple[str, int], bool] = {}
 
         #: LUP checkpoints by their defining site.
         self.cp_at_site: Dict[DefSite, PlannedCheckpoint] = {}
@@ -127,20 +173,25 @@ class PddgValidator:
         self, cv: PlannedCheckpoint, decision: Optional[DecisionFn] = None
     ) -> Marked:
         """Run Algorithm 1 from checkpoint ``cv``."""
+        self._begin_query()
         if cv.kind is CheckpointKind.LUP:
             assert cv.site is not None
-            return self._mark_def(cv.site, frozenset(), decision, root=cv)
+            return self._mark_def(cv.site, decision, root=cv)
         assert cv.boundary is not None
-        return self._mark_reg_at(
-            cv.boundary, 0, cv.reg, frozenset(), decision
-        )
+        return self._mark_reg_at(cv.boundary, 0, cv.reg, decision)
 
     def value_at(
         self, label: str, index: int, reg: Reg, decision: Optional[DecisionFn]
     ) -> Marked:
         """Validate/slice the value of ``reg`` just before (label, index) —
         used to build boundary restore slices."""
-        return self._mark_reg_at(label, index, reg, frozenset(), decision)
+        self._begin_query()
+        return self._mark_reg_at(label, index, reg, decision)
+
+    def _begin_query(self) -> None:
+        self._path = 0
+        self._memo.clear()
+        self._tested.clear()
 
     def collect_decision_deps(
         self, cv: PlannedCheckpoint, decision: DecisionFn
@@ -163,15 +214,24 @@ class PddgValidator:
     def memory_intact(self, label: str, index: int) -> bool:
         """CheckMemOW: may the location loaded at (label, index) be
         overwritten before recovery re-executes the load?  Conservative:
-        invalid when any may-aliasing store is reachable from the load."""
+        invalid when any may-aliasing store is reachable from the load.
+        Cached per load: the answer depends only on the validator's CFG."""
+        key = (label, index)
+        if key not in self._intact:
+            self._intact[key] = not self._aliasing_store_reachable(
+                label, index
+            )
+        return self._intact[key]
+
+    def _aliasing_store_reachable(self, label: str, index: int) -> bool:
         addr = self.aa.address_of(label, index)
         for s_label, s_index in self._stores:
             s_addr = self.aa.address_of(s_label, s_index)
             if self.aa.alias(addr, s_addr) is AliasResult.NO:
                 continue
             if self._reachable(label, s_label, index, s_index):
-                return False
-        return True
+                return True
+        return False
 
     def _reachable(
         self, from_label: str, to_label: str, from_idx: int, to_idx: int
@@ -233,7 +293,6 @@ class PddgValidator:
         label: str,
         index: int,
         reg: Reg,
-        visited: FrozenSet[DefSite],
         decision: Optional[DecisionFn],
     ) -> Marked:
         sites = [
@@ -244,13 +303,12 @@ class PddgValidator:
         if not sites:
             return Marked(VState.INVALID)  # uninitialized input
         if len(sites) == 1:
-            return self._mark_def(sites[0], visited, decision)
-        return self._mark_join(sites, visited, decision)
+            return self._mark_def(sites[0], decision)
+        return self._mark_join(sites, decision)
 
     def _mark_join(
         self,
         sites: List[DefSite],
-        visited: FrozenSet[DefSite],
         decision: Optional[DecisionFn],
     ) -> Marked:
         """A value defined on multiple paths: data dependences on every
@@ -259,7 +317,7 @@ class PddgValidator:
         state = VState.VALID
         marks: List[Tuple[DefSite, Marked]] = []
         for site in sorted(sites, key=lambda s: (s.label, s.index)):
-            m = self._mark_def(site, visited, decision)
+            m = self._mark_def(site, decision)
             marks.append((site, m))
             state = merge(state, m.state)
         # Predicate dependences: the branch predicates the definitions are
@@ -275,14 +333,13 @@ class PddgValidator:
                     cd.branch_block,
                     len(branch_blk.instructions),
                     cd.pred,
-                    visited,
                     decision,
                 )
                 pred_exprs[key] = pm
                 state = merge(state, pm.state)
         if state is not VState.VALID:
             return Marked(state)
-        expr = self._materialize_join(marks, visited, decision)
+        expr = self._materialize_join(marks, decision)
         if expr is None:
             self.materialization_failures += 1
             return Marked(VState.INVALID)
@@ -291,7 +348,6 @@ class PddgValidator:
     def _materialize_join(
         self,
         marks: List[Tuple[DefSite, Marked]],
-        visited: FrozenSet[DefSite],
         decision: Optional[DecisionFn],
     ) -> Optional[SliceExpr]:
         """Linearize a two-way join as a select over its branch predicate.
@@ -325,7 +381,6 @@ class PddgValidator:
                 cd_a.branch_block,
                 len(branch_blk.instructions),
                 cd_a.pred,
-                visited,
                 decision,
             )
             if pm.state is not VState.VALID or pm.expr is None:
@@ -339,14 +394,45 @@ class PddgValidator:
     def _mark_def(
         self,
         site: DefSite,
-        visited: FrozenSet[DefSite],
         decision: Optional[DecisionFn],
         root: Optional[PlannedCheckpoint] = None,
     ) -> Marked:
-        if site in visited:
+        """Mark the value defined at ``site``, reusing this query's memo
+        where that is exact (see the module docstring)."""
+        bit = self._bit.get(site)
+        if bit is None:
+            bit = self._bit[site] = 1 << len(self._bit)
+        tested = self._tested
+        if tested:
+            tested[-1] |= bit
+        if self._path & bit:
             return Marked(VState.INVALID)  # cyclic dependence
-        visited = visited | {site}
+        if root is None:
+            entry = self._memo.get(bit)
+            if entry is not None and self._path & entry.tested == entry.on_path:
+                self.memo_hits += 1
+                if tested:
+                    tested[-1] |= entry.tested
+                return entry.marked
 
+        self.evaluated += 1
+        self._path |= bit
+        tested.append(0)
+        result = self._evaluate_def(site, decision, root)
+        self._path &= ~bit
+        sub = tested.pop() & ~bit
+        if tested:
+            tested[-1] |= sub
+        if root is None:
+            self._memo[bit] = _MemoEntry(sub, self._path & sub, result)
+        return result
+
+    def _evaluate_def(
+        self,
+        site: DefSite,
+        decision: Optional[DecisionFn],
+        root: Optional[PlannedCheckpoint],
+    ) -> Marked:
         cp = self.cp_at_site.get(site)
         is_checkpoint_node = cp is not None and cp is not root
         # Phase 2 shortcut: a committed checkpoint with a trustworthy slot
@@ -361,7 +447,7 @@ class PddgValidator:
                 )
                 return Marked(VState.VALID, SSlot(cp.reg.name, color))
 
-        result = self._mark_instruction(site, visited, decision)
+        result = self._mark_instruction(site, decision)
 
         if result.state is VState.INVALID and is_checkpoint_node:
             if decision is None:
@@ -377,7 +463,6 @@ class PddgValidator:
     def _mark_instruction(
         self,
         site: DefSite,
-        visited: FrozenSet[DefSite],
         decision: Optional[DecisionFn],
     ) -> Marked:
         inst = self.cfg.block(site.label).instructions[site.index]
@@ -386,13 +471,13 @@ class PddgValidator:
             # A guarded definition merges with the prior value under the
             # guard predicate: dst = guard ? value : previous.
             prior = self._mark_reg_at(
-                site.label, site.index, site.reg, visited, decision
+                site.label, site.index, site.reg, decision
             )
             guard_reg, sense = inst.guard
             guard_mark = self._mark_reg_at(
-                site.label, site.index, guard_reg, visited, decision
+                site.label, site.index, guard_reg, decision
             )
-            value = self._mark_unguarded(site, inst, visited, decision)
+            value = self._mark_unguarded(site, inst, decision)
             state = merge(merge(prior.state, guard_mark.state), value.state)
             if state is not VState.VALID:
                 return Marked(state)
@@ -406,13 +491,12 @@ class PddgValidator:
                 )
             return Marked(VState.VALID, expr)
 
-        return self._mark_unguarded(site, inst, visited, decision)
+        return self._mark_unguarded(site, inst, decision)
 
     def _mark_unguarded(
         self,
         site: DefSite,
         inst,
-        visited: FrozenSet[DefSite],
         decision: Optional[DecisionFn],
     ) -> Marked:
         if isinstance(inst, Atom):
@@ -420,7 +504,7 @@ class PddgValidator:
 
         if isinstance(inst, Ld):
             base = self._mark_operand(
-                site, inst.base, DType.U32, visited, decision
+                site, inst.base, DType.U32, decision
             )
             if inst.space.read_only:
                 mem = VState.VALID
@@ -439,17 +523,17 @@ class PddgValidator:
             )
 
         if isinstance(inst, Setp):
-            a = self._mark_operand(site, inst.srcs[0], inst.dtype, visited, decision)
-            b = self._mark_operand(site, inst.srcs[1], inst.dtype, visited, decision)
+            a = self._mark_operand(site, inst.srcs[0], inst.dtype, decision)
+            b = self._mark_operand(site, inst.srcs[1], inst.dtype, decision)
             state = merge(a.state, b.state)
             if state is not VState.VALID:
                 return Marked(state)
             return Marked(VState.VALID, SSetp(inst.cmp, inst.dtype, a.expr, b.expr))
 
         if isinstance(inst, Selp):
-            a = self._mark_operand(site, inst.srcs[0], inst.dtype, visited, decision)
-            b = self._mark_operand(site, inst.srcs[1], inst.dtype, visited, decision)
-            p = self._mark_operand(site, inst.pred, DType.PRED, visited, decision)
+            a = self._mark_operand(site, inst.srcs[0], inst.dtype, decision)
+            b = self._mark_operand(site, inst.srcs[1], inst.dtype, decision)
+            p = self._mark_operand(site, inst.pred, DType.PRED, decision)
             state = merge(merge(a.state, b.state), p.state)
             if state is not VState.VALID:
                 return Marked(state)
@@ -459,7 +543,7 @@ class PddgValidator:
 
         if isinstance(inst, Alu):
             marks = [
-                self._mark_operand(site, src, inst.dtype, visited, decision)
+                self._mark_operand(site, src, inst.dtype, decision)
                 for src in inst.srcs
             ]
             state = VState.VALID
@@ -479,7 +563,6 @@ class PddgValidator:
         site: DefSite,
         op: Operand,
         dtype: DType,
-        visited: FrozenSet[DefSite],
         decision: Optional[DecisionFn],
     ) -> Marked:
         if isinstance(op, Imm):
@@ -489,7 +572,7 @@ class PddgValidator:
         if isinstance(op, SymRef):
             return Marked(VState.VALID, SSymRef(op.name))
         return self._mark_reg_at(
-            site.label, site.index, op, visited, decision
+            site.label, site.index, op, decision
         )
 
     # -- Algorithm 2: decision-dependence collection ---------------------------------------

@@ -712,8 +712,14 @@ class PennyCompiler:
             validator = PddgValidator(
                 cfg, rdefs, plan, instances, aa, loops, ctrldep, coloring
             )
-        with obs.span("pass.pruning", mode=self.config.pruning):
+        with obs.span("pass.pruning", mode=self.config.pruning) as pruning:
             prune = self._run_pruning(plan, validator)
+            pruning.tag(
+                pddg_evaluated=validator.evaluated,
+                pddg_memo_hits=validator.memo_hits,
+            )
+        obs.inc("compile.pddg_evaluated", validator.evaluated)
+        obs.inc("compile.pddg_memo_hits", validator.memo_hits)
 
         # Recovery table (may force-commit unsliceable registers), kept
         # consistent with the snapshot machinery of colored registers:

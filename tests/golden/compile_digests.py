@@ -1,0 +1,170 @@
+"""Golden compile digests for the benchmark's compile configurations.
+
+``compile_digests.json`` maps every program ``<bench>/<config>`` to the
+SHA-256 of ``print_kernel`` of its compiled kernel and to its
+``CompileResult.stats``.  The programs are the 24 Table-3 kernels other
+than NQU under Penny, Penny with the ``address-only`` policy and
+Bolt/Global, plus NQU under Penny.
+
+Compilation runs in a child interpreter with ``PYTHONHASHSEED=0``: the
+compiled output of some kernels depends on the hash seed, so digests are
+only comparable under a fixed one.
+
+Check the committed digests (exit 1 and one line per changed entry when
+they differ)::
+
+    python tests/golden/compile_digests.py
+
+Regenerate them after a deliberate change of compiled output, printing
+what changed::
+
+    python tests/golden/compile_digests.py --update
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from typing import Dict, List
+
+ROOT = Path(__file__).resolve().parents[2]
+GOLDEN = Path(__file__).with_name("compile_digests.json")
+HASH_SEED = "0"
+
+#: the configurations every suite kernel is compiled under
+CONFIGS = ("penny", "address-only", "bolt-global")
+#: compiled under Penny only, like the benchmark's ``compile_nqu`` workload
+NQU = "NQU"
+
+Digests = Dict[str, Dict[str, object]]
+
+
+def _config(label: str):
+    from repro.core.schemes import SCHEME_BOLT_GLOBAL, SCHEME_PENNY, scheme_config
+
+    if label == "penny":
+        return scheme_config(SCHEME_PENNY)
+    if label == "address-only":
+        return dataclasses.replace(
+            scheme_config(SCHEME_PENNY), policy="address-only"
+        )
+    return scheme_config(SCHEME_BOLT_GLOBAL)
+
+
+def _compute_here() -> Digests:
+    """Compile every program in this interpreter and digest the results."""
+    from repro.bench import ALL_BENCHMARKS
+    from repro.core.pipeline import PennyCompiler
+    from repro.ir.printer import print_kernel
+
+    programs = [
+        (b, label)
+        for b in ALL_BENCHMARKS
+        if b.abbr != NQU
+        for label in CONFIGS
+    ]
+    programs.append((ALL_BENCHMARKS[NQU], "penny"))
+    out: Digests = {}
+    for bench, label in programs:
+        result = PennyCompiler(_config(label)).compile(
+            bench.fresh_kernel(), bench.workload().launch_config
+        )
+        text = print_kernel(result.kernel)
+        out[f"{bench.abbr}/{label}"] = {
+            "kernel_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+            "stats": json.loads(canonical_json(result.stats)),
+        }
+    return out
+
+
+def canonical_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def compute_digests(timeout: float = 600.0) -> Digests:
+    """Digests of the current source tree, compiled in a child interpreter
+    with ``PYTHONHASHSEED`` fixed."""
+    env = dict(os.environ)
+    env["PYTHONHASHSEED"] = HASH_SEED
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH", "")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--emit"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+    if done.returncode != 0:
+        raise RuntimeError(f"digest child failed:\n{done.stderr}")
+    return json.loads(done.stdout)
+
+
+def load_golden() -> Digests:
+    return json.loads(GOLDEN.read_text())
+
+
+def diff(old: Digests, new: Digests) -> List[str]:
+    """One line per program whose digests differ between ``old`` and
+    ``new``, naming the stats that changed."""
+    lines: List[str] = []
+    for key in sorted(set(old) | set(new)):
+        if key not in new:
+            lines.append(f"{key}: removed")
+            continue
+        if key not in old:
+            lines.append(f"{key}: added")
+            continue
+        a, b = old[key], new[key]
+        parts = []
+        if a["kernel_sha256"] != b["kernel_sha256"]:
+            parts.append(
+                f"kernel {a['kernel_sha256'][:12]} -> {b['kernel_sha256'][:12]}"
+            )
+        stats_a, stats_b = a["stats"], b["stats"]
+        for name in sorted(set(stats_a) | set(stats_b)):
+            if stats_a.get(name) != stats_b.get(name):
+                parts.append(
+                    f"{name} {stats_a.get(name)!r} -> {stats_b.get(name)!r}"
+                )
+        if parts:
+            lines.append(f"{key}: " + "; ".join(parts))
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--update",
+        action="store_true",
+        help="rewrite compile_digests.json and print what changed",
+    )
+    parser.add_argument("--emit", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+
+    if args.emit:
+        print(canonical_json(_compute_here()))
+        return 0
+
+    new = compute_digests()
+    old = load_golden() if GOLDEN.exists() else {}
+    changes = diff(old, new)
+    for line in changes:
+        print(line)
+    if args.update:
+        GOLDEN.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {len(new)} digests to {GOLDEN} ({len(changes)} changed)")
+        return 0
+    print(f"{len(changes)} of {len(new)} digests differ from {GOLDEN.name}")
+    return 1 if changes else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -66,6 +66,24 @@ class TestTracedCompile:
             "checkpoints_pruned"
         ]
 
+    def test_pddg_counters_are_flushed_per_pruning_pass(self):
+        tracer = obs.Tracer()
+        with tracer:
+            repro.protect(
+                repro.parse_kernel(open(SCALE).read()),
+                launch=repro.LaunchConfig(
+                    threads_per_block=16, num_blocks=2
+                ),
+            )
+        passes = tracer.find("pass.pruning")
+        c = tracer.counters.counts
+        for counter in ("pddg_evaluated", "pddg_memo_hits"):
+            assert all(counter in s.tags for s in passes)
+            assert c[f"compile.{counter}"] == sum(
+                s.tags[counter] for s in passes
+            )
+        assert c["compile.pddg_evaluated"] > 0
+
 
 @pytest.fixture(scope="module")
 def campaign_spec():
