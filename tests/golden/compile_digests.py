@@ -1,14 +1,16 @@
 """Golden compile digests for the benchmark's compile configurations.
 
-``compile_digests.json`` maps every program ``<bench>/<config>`` to the
-SHA-256 of ``print_kernel`` of its compiled kernel and to its
+``compile_digests.json`` maps every program ``<bench>/<config>@<seed>``
+to the SHA-256 of ``print_kernel`` of its compiled kernel and to its
 ``CompileResult.stats``.  The programs are the 24 Table-3 kernels other
-than NQU under Penny, Penny with the ``address-only`` policy and
-Bolt/Global, plus NQU under Penny.
+than NQU under Penny, Penny with the ``address-only`` and
+``top-k-vulnerable`` policies and Bolt/Global, plus NQU under Penny.
 
-Compilation runs in a child interpreter with ``PYTHONHASHSEED=0``: the
-compiled output of some kernels depends on the hash seed, so digests are
-only comparable under a fixed one.
+Each program is compiled under every ``PYTHONHASHSEED`` in
+:data:`HASH_SEEDS`, one child interpreter per seed: the compiled output
+of some kernels depends on the hash seed, so digests are only comparable
+under a fixed one, and a second seed catches changes to set iteration
+order that a single seed can hide.
 
 Check the committed digests (exit 1 and one line per changed entry when
 they differ)::
@@ -35,10 +37,10 @@ from typing import Dict, List
 
 ROOT = Path(__file__).resolve().parents[2]
 GOLDEN = Path(__file__).with_name("compile_digests.json")
-HASH_SEED = "0"
+HASH_SEEDS = ("0", "7")
 
 #: the configurations every suite kernel is compiled under
-CONFIGS = ("penny", "address-only", "bolt-global")
+CONFIGS = ("penny", "address-only", "top-k-vulnerable", "bolt-global")
 #: compiled under Penny only, like the benchmark's ``compile_nqu`` workload
 NQU = "NQU"
 
@@ -50,11 +52,10 @@ def _config(label: str):
 
     if label == "penny":
         return scheme_config(SCHEME_PENNY)
-    if label == "address-only":
-        return dataclasses.replace(
-            scheme_config(SCHEME_PENNY), policy="address-only"
-        )
-    return scheme_config(SCHEME_BOLT_GLOBAL)
+    if label == "bolt-global":
+        return scheme_config(SCHEME_BOLT_GLOBAL)
+    # a protection policy under Penny
+    return dataclasses.replace(scheme_config(SCHEME_PENNY), policy=label)
 
 
 def _compute_here() -> Digests:
@@ -88,23 +89,29 @@ def canonical_json(obj) -> str:
 
 
 def compute_digests(timeout: float = 600.0) -> Digests:
-    """Digests of the current source tree, compiled in a child interpreter
-    with ``PYTHONHASHSEED`` fixed."""
+    """Digests of the current source tree, compiled in one child
+    interpreter per ``PYTHONHASHSEED`` in :data:`HASH_SEEDS`."""
     env = dict(os.environ)
-    env["PYTHONHASHSEED"] = HASH_SEED
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH", "")) if p
     )
-    done = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--emit"],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=timeout,
-    )
-    if done.returncode != 0:
-        raise RuntimeError(f"digest child failed:\n{done.stderr}")
-    return json.loads(done.stdout)
+    out: Digests = {}
+    for seed in HASH_SEEDS:
+        env["PYTHONHASHSEED"] = seed
+        done = subprocess.run(
+            [sys.executable, str(Path(__file__).resolve()), "--emit"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=timeout,
+        )
+        if done.returncode != 0:
+            raise RuntimeError(
+                f"digest child (PYTHONHASHSEED={seed}) failed:\n{done.stderr}"
+            )
+        for program, digest in json.loads(done.stdout).items():
+            out[f"{program}@{seed}"] = digest
+    return out
 
 
 def load_golden() -> Digests:
