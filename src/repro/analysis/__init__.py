@@ -4,6 +4,9 @@ Everything Penny's passes need: control-flow graph, dominators, natural
 loops with nesting depth, per-point liveness, reaching definitions /
 def-use chains, a field-insensitive alias analysis for GPU memory spaces,
 and memory anti-dependence detection (the input to region formation).
+Liveness, reaching definitions, the vulnerability analyses of
+:mod:`repro.analysis.vuln` and the lint analyses all run on the one
+worklist solver in :mod:`repro.analysis.dataflow`.
 """
 
 from repro.analysis.cfg import CFG

@@ -270,10 +270,3 @@ class AliasAnalysis:
                 return AliasResult.NO
             return AliasResult.MAY
         return AliasResult.MAY
-
-    def may_alias(
-        self, label_a: str, index_a: int, label_b: str, index_b: int
-    ) -> bool:
-        ra = self.address_of(label_a, index_a)
-        rb = self.address_of(label_b, index_b)
-        return self.alias(ra, rb) is not AliasResult.NO

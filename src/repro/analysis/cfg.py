@@ -2,10 +2,31 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Mapping, Optional, Sequence, Set
 
 from repro.ir.instructions import Bra, Ret
 from repro.ir.module import BasicBlock, Kernel
+
+
+def reverse_postorder(
+    root: str, succs: Mapping[str, Sequence[str]]
+) -> List[str]:
+    """The nodes reachable from ``root`` in reverse postorder of a
+    depth-first walk that takes successors in ``succs`` order."""
+    visited = {root}
+    postorder: List[str] = []
+    stack = [(root, iter(succs[root]))]
+    while stack:
+        node, it = stack[-1]
+        for succ in it:
+            if succ not in visited:
+                visited.add(succ)
+                stack.append((succ, iter(succs[succ])))
+                break
+        else:
+            postorder.append(node)
+            stack.pop()
+    return postorder[::-1]
 
 
 class CFG:
@@ -59,30 +80,9 @@ class CFG:
     def reverse_postorder(self) -> List[str]:
         """RPO from the entry; unreachable blocks are appended at the end in
         layout order so analyses still cover them."""
-        visited: Set[str] = set()
-        postorder: List[str] = []
-
-        def dfs(label: str) -> None:
-            stack = [(label, iter(self.succs[label]))]
-            visited.add(label)
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for succ in it:
-                    if succ not in visited:
-                        visited.add(succ)
-                        stack.append((succ, iter(self.succs[succ])))
-                        advanced = True
-                        break
-                if not advanced:
-                    postorder.append(node)
-                    stack.pop()
-
-        dfs(self.entry)
-        order = list(reversed(postorder))
-        for blk in self.blocks:
-            if blk.label not in visited:
-                order.append(blk.label)
+        order = reverse_postorder(self.entry, self.succs)
+        reached = set(order)
+        order.extend(b.label for b in self.blocks if b.label not in reached)
         return order
 
     def reachable(self) -> Set[str]:

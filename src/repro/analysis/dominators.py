@@ -2,9 +2,50 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.analysis.cfg import CFG
+from repro.analysis.cfg import CFG, reverse_postorder
+
+
+def immediate_dominators(
+    root: str, succs: Mapping[str, Sequence[str]]
+) -> Dict[str, Optional[str]]:
+    """Immediate dominator of every node reachable from ``root`` in the
+    graph ``succs`` (Cooper, Harvey and Kennedy's iterative algorithm over
+    reverse postorder).  ``root`` maps to ``None``; unreachable nodes are
+    absent."""
+    rpo = reverse_postorder(root, succs)
+    order = {node: i for i, node in enumerate(rpo)}
+    preds: Dict[str, List[str]] = {node: [] for node in rpo}
+    for node in rpo:
+        for nxt in succs[node]:
+            preds[nxt].append(node)
+
+    idom: Dict[str, Optional[str]] = dict.fromkeys(rpo)
+    idom[root] = root
+
+    def intersect(a: str, b: str) -> str:
+        while a != b:
+            while order[a] > order[b]:
+                a = idom[a]  # type: ignore[assignment]
+            while order[b] > order[a]:
+                b = idom[b]  # type: ignore[assignment]
+        return a
+
+    changed = True
+    while changed:
+        changed = False
+        for node in rpo[1:]:
+            # the DFS parent precedes ``node`` in RPO, so one is ready
+            ready = [p for p in preds[node] if idom[p] is not None]
+            new_idom = ready[0]
+            for p in ready[1:]:
+                new_idom = intersect(new_idom, p)
+            if idom[node] != new_idom:
+                idom[node] = new_idom
+                changed = True
+    idom[root] = None  # conventional: the root has no idom
+    return idom
 
 
 class Dominators:
@@ -15,44 +56,9 @@ class Dominators:
 
     def __init__(self, cfg: CFG):
         self.cfg = cfg
-        rpo = [label for label in cfg.reverse_postorder()]
-        reachable = cfg.reachable()
-        rpo = [label for label in rpo if label in reachable]
-        order: Dict[str, int] = {label: i for i, label in enumerate(rpo)}
-        idom: Dict[str, Optional[str]] = {label: None for label in rpo}
-        idom[cfg.entry] = cfg.entry
-
-        def intersect(a: str, b: str) -> str:
-            while a != b:
-                while order[a] > order[b]:
-                    a = idom[a]  # type: ignore[assignment]
-                while order[b] > order[a]:
-                    b = idom[b]  # type: ignore[assignment]
-            return a
-
-        changed = True
-        while changed:
-            changed = False
-            for label in rpo:
-                if label == cfg.entry:
-                    continue
-                preds = [
-                    p
-                    for p in cfg.predecessors(label)
-                    if p in order and idom[p] is not None
-                ]
-                if not preds:
-                    continue
-                new_idom = preds[0]
-                for p in preds[1:]:
-                    new_idom = intersect(new_idom, p)
-                if idom[label] != new_idom:
-                    idom[label] = new_idom
-                    changed = True
-
-        self.idom: Dict[str, Optional[str]] = idom
-        self.idom[cfg.entry] = None  # conventional: entry has no idom
-        self._order = order
+        self.idom: Dict[str, Optional[str]] = immediate_dominators(
+            cfg.entry, cfg.succs
+        )
 
     def dominates(self, a: str, b: str) -> bool:
         """Does block ``a`` dominate block ``b``?  (Reflexive.)"""

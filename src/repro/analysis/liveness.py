@@ -7,10 +7,27 @@ discovery, which walks definitions against per-point live sets.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, FrozenSet, List
 
 from repro.analysis.cfg import CFG
+from repro.analysis.dataflow import Analysis, Direction, Solver
 from repro.ir.types import Reg
+
+
+class _LiveRegs(Analysis):
+    """Live registers before each instruction.  A guarded def may not
+    execute, so the old value can flow through it: it kills nothing."""
+
+    direction = Direction.BACKWARD
+
+    def meet(self, a, b):
+        return a | b
+
+    def transfer(self, label, index, inst, value):
+        if inst.guard is None and inst.defs():
+            value = value.difference(inst.defs())
+        uses = inst.reg_uses()
+        return value.union(uses) if uses else value
 
 
 class Liveness:
@@ -18,65 +35,17 @@ class Liveness:
 
     def __init__(self, cfg: CFG):
         self.cfg = cfg
-        self.live_in: Dict[str, Set[Reg]] = {}
-        self.live_out: Dict[str, Set[Reg]] = {}
-        self._use: Dict[str, Set[Reg]] = {}
-        self._def: Dict[str, Set[Reg]] = {}
+        self._solver = Solver(cfg, _LiveRegs())
+        self.live_in: Dict[str, FrozenSet[Reg]] = self._solver.block_in
+        self.live_out: Dict[str, FrozenSet[Reg]] = self._solver.block_out
 
-        for blk in cfg.blocks:
-            use: Set[Reg] = set()
-            defs: Set[Reg] = set()
-            for inst in blk.instructions:
-                for r in inst.reg_uses():
-                    if r not in defs:
-                        use.add(r)
-                for r in inst.defs():
-                    # A guarded def may not execute; conservatively the old
-                    # value can flow through, so do not treat it as a kill.
-                    if inst.guard is None:
-                        defs.add(r)
-            self._use[blk.label] = use
-            self._def[blk.label] = defs
-            self.live_in[blk.label] = set()
-            self.live_out[blk.label] = set()
-
-        changed = True
-        while changed:
-            changed = False
-            for blk in reversed(cfg.blocks):
-                label = blk.label
-                out: Set[Reg] = set()
-                for succ in cfg.successors(label):
-                    out |= self.live_in[succ]
-                new_in = self._use[label] | (out - self._def[label])
-                if out != self.live_out[label] or new_in != self.live_in[label]:
-                    self.live_out[label] = out
-                    self.live_in[label] = new_in
-                    changed = True
-
-        self._points: Dict[str, List[Set[Reg]]] = {}
-
-    def live_points(self, label: str) -> List[Set[Reg]]:
+    def live_points(self, label: str) -> List[FrozenSet[Reg]]:
         """``points[i]`` = registers live immediately *before* instruction
         ``i`` of the block; ``points[len]`` = live at block exit."""
-        if label in self._points:
-            return self._points[label]
-        blk = self.cfg.block(label)
-        n = len(blk.instructions)
-        points: List[Set[Reg]] = [set() for _ in range(n + 1)]
-        points[n] = set(self.live_out[label])
-        for i in range(n - 1, -1, -1):
-            inst = blk.instructions[i]
-            live = set(points[i + 1])
-            if inst.guard is None:
-                live -= set(inst.defs())
-            live |= set(inst.reg_uses())
-            points[i] = live
-        self._points[label] = points
-        return points
+        return self._solver.points(label)
 
-    def live_before(self, label: str, index: int) -> Set[Reg]:
-        return self.live_points(label)[index]
+    def live_before(self, label: str, index: int) -> FrozenSet[Reg]:
+        return self._solver.before(label, index)
 
-    def live_after(self, label: str, index: int) -> Set[Reg]:
-        return self.live_points(label)[index + 1]
+    def live_after(self, label: str, index: int) -> FrozenSet[Reg]:
+        return self._solver.after(label, index)

@@ -90,16 +90,3 @@ class LoopInfo:
     def depth_of(self, label: str) -> int:
         """Loop nesting depth of a block (0 = not in any loop)."""
         return self._depth.get(label, 0)
-
-    def innermost_loop(self, label: str) -> Optional[Loop]:
-        """The innermost loop containing the block, if any."""
-        best: Optional[Loop] = None
-        for loop in self.loops:
-            if label in loop.body and (
-                best is None or loop.depth > best.depth
-            ):
-                best = loop
-        return best
-
-    def headers(self) -> Set[str]:
-        return {loop.header for loop in self.loops}

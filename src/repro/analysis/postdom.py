@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from repro.analysis.cfg import CFG
+from repro.analysis.dominators import immediate_dominators
 from repro.ir.instructions import Bra
 from repro.ir.types import Reg
 
@@ -28,76 +29,16 @@ class PostDominators:
 
     def __init__(self, cfg: CFG):
         self.cfg = cfg
-        exits = [
-            blk.label
-            for blk in cfg.blocks
-            if not cfg.successors(blk.label)
+        labels = [blk.label for blk in cfg.blocks]
+        # The reversed CFG, rooted at a virtual exit joining every exit.
+        reverse: Dict[str, List[str]] = dict(cfg.preds)
+        reverse[self.VIRTUAL_EXIT] = [
+            label for label in labels if not cfg.successors(label)
         ]
-        nodes = [blk.label for blk in cfg.blocks] + [self.VIRTUAL_EXIT]
-        rsuccs: Dict[str, List[str]] = {n: [] for n in nodes}  # reversed succs = preds
-        for label in (blk.label for blk in cfg.blocks):
-            rsuccs[label] = list(cfg.successors(label)) or [self.VIRTUAL_EXIT]
-
-        # Reverse postorder on the reversed graph, from the virtual exit.
-        rpreds: Dict[str, List[str]] = {n: [] for n in nodes}
-        for n, succs in rsuccs.items():
-            for s in succs:
-                rpreds[s].append(n)
-
-        visited: Set[str] = set()
-        postorder: List[str] = []
-
-        def dfs(start: str) -> None:
-            stack = [(start, iter(rpreds[start]))]
-            visited.add(start)
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for nxt in it:
-                    if nxt not in visited:
-                        visited.add(nxt)
-                        stack.append((nxt, iter(rpreds[nxt])))
-                        advanced = True
-                        break
-                if not advanced:
-                    postorder.append(node)
-                    stack.pop()
-
-        dfs(self.VIRTUAL_EXIT)
-        order = {label: i for i, label in enumerate(reversed(postorder))}
-
-        ipdom: Dict[str, Optional[str]] = {n: None for n in nodes}
-        ipdom[self.VIRTUAL_EXIT] = self.VIRTUAL_EXIT
-
-        def intersect(a: str, b: str) -> str:
-            while a != b:
-                while order[a] > order[b]:
-                    a = ipdom[a]  # type: ignore[assignment]
-                while order[b] > order[a]:
-                    b = ipdom[b]  # type: ignore[assignment]
-            return a
-
-        changed = True
-        while changed:
-            changed = False
-            for label in sorted(order, key=order.get):
-                if label == self.VIRTUAL_EXIT:
-                    continue
-                preds = [
-                    s
-                    for s in rsuccs.get(label, [])
-                    if s in order and ipdom[s] is not None
-                ]
-                if not preds:
-                    continue
-                new = preds[0]
-                for p in preds[1:]:
-                    new = intersect(new, p)
-                if ipdom[label] != new:
-                    ipdom[label] = new
-                    changed = True
-        ipdom[self.VIRTUAL_EXIT] = None
-        self.ipdom = ipdom
+        self.ipdom: Dict[str, Optional[str]] = dict.fromkeys(
+            labels + [self.VIRTUAL_EXIT]
+        )
+        self.ipdom.update(immediate_dominators(self.VIRTUAL_EXIT, reverse))
 
     def postdominates(self, a: str, b: str) -> bool:
         """Does ``a`` postdominate ``b``?  (Reflexive.)"""

@@ -9,9 +9,10 @@ control path) — that is exactly when Penny adds *predicate dependences*.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Set
+from typing import Dict, FrozenSet, List
 
 from repro.analysis.cfg import CFG
+from repro.analysis.dataflow import Analysis, Direction, Solver
 from repro.ir.types import Reg
 
 
@@ -32,69 +33,57 @@ class DefSite:
         return self.index == DefSite.ENTRY_INDEX
 
 
+class _ReachingSites(Analysis):
+    """Definition sites reaching each point.  An unguarded def kills every
+    site of its register; a guarded one may not execute, so it only adds
+    its own."""
+
+    direction = Direction.FORWARD
+
+    def __init__(
+        self,
+        defined: Dict[str, List[FrozenSet[DefSite]]],
+        sites_of: Dict[Reg, FrozenSet[DefSite]],
+    ):
+        self._defined = defined
+        self._sites_of = sites_of
+
+    def meet(self, a, b):
+        return a | b
+
+    def transfer(self, label, index, inst, value):
+        sites = self._defined[label][index]
+        if not sites:
+            return value
+        if inst.guard is None:
+            for site in sites:
+                value = value - self._sites_of[site.reg]
+        return value | sites
+
+
 class ReachingDefs:
     """Forward may-analysis of definition sites."""
 
     def __init__(self, cfg: CFG):
         self.cfg = cfg
 
-        # Collect all def sites per register.
+        # Collect all def sites per register and per instruction.
         self.defs_of: Dict[Reg, List[DefSite]] = {}
-        gen: Dict[str, Dict[Reg, Set[DefSite]]] = {}
-        kill_regs: Dict[str, Set[Reg]] = {}
+        defined: Dict[str, List[FrozenSet[DefSite]]] = {}
         for blk in cfg.blocks:
-            bgen: Dict[Reg, Set[DefSite]] = {}
-            bkill: Set[Reg] = set()
+            row = defined[blk.label] = []
             for i, inst in enumerate(blk.instructions):
-                for r in inst.defs():
-                    site = DefSite(blk.label, i, r)
-                    self.defs_of.setdefault(r, []).append(site)
-                    if inst.guard is None:
-                        bgen[r] = {site}
-                        bkill.add(r)
-                    else:
-                        bgen.setdefault(r, set()).add(site)
-            gen[blk.label] = bgen
-            kill_regs[blk.label] = bkill
+                sites = [DefSite(blk.label, i, r) for r in inst.defs()]
+                for site in sites:
+                    self.defs_of.setdefault(site.reg, []).append(site)
+                row.append(frozenset(sites))
+        self._sites_of: Dict[Reg, FrozenSet[DefSite]] = {
+            reg: frozenset(sites) for reg, sites in self.defs_of.items()
+        }
+        self._solver = Solver(cfg, _ReachingSites(defined, self._sites_of))
 
         # Entry pseudo-defs for registers ever used; filtered during queries.
         self._entry_sites: Dict[Reg, DefSite] = {}
-
-        self.in_sets: Dict[str, Dict[Reg, Set[DefSite]]] = {
-            blk.label: {} for blk in cfg.blocks
-        }
-        self.out_sets: Dict[str, Dict[Reg, Set[DefSite]]] = {
-            blk.label: {} for blk in cfg.blocks
-        }
-
-        changed = True
-        order = cfg.reverse_postorder()
-        while changed:
-            changed = False
-            for label in order:
-                in_map: Dict[Reg, Set[DefSite]] = {}
-                for pred in cfg.predecessors(label):
-                    for reg, sites in self.out_sets[pred].items():
-                        in_map.setdefault(reg, set()).update(sites)
-                out_map: Dict[Reg, Set[DefSite]] = {
-                    reg: (
-                        set(sites)
-                        if reg not in kill_regs[label]
-                        else set()
-                    )
-                    for reg, sites in in_map.items()
-                }
-                for reg, sites in gen[label].items():
-                    out_map.setdefault(reg, set()).update(sites)
-                # Drop empty sets created by kills.
-                out_map = {r: s for r, s in out_map.items() if s}
-                if in_map != self.in_sets[label] or out_map != self.out_sets[label]:
-                    self.in_sets[label] = in_map
-                    self.out_sets[label] = out_map
-                    changed = True
-
-        self._gen = gen
-        self._kill = kill_regs
 
     def entry_site(self, reg: Reg) -> DefSite:
         if reg not in self._entry_sites:
@@ -108,21 +97,12 @@ class ReachingDefs:
         ``index`` of block ``label``.  An empty result means the register is
         read uninitialized on every path; a result containing an entry site
         means it *may* be read uninitialized."""
-        blk = self.cfg.block(label)
-        sites: Set[DefSite] = set(self.in_sets[label].get(reg, set()))
-        may_be_entry = not sites and label == self.cfg.entry
-        for i in range(index):
-            inst = blk.instructions[i]
-            for r in inst.defs():
-                if r == reg:
-                    if inst.guard is None:
-                        sites = {DefSite(label, i, reg)}
-                        may_be_entry = False
-                    else:
-                        sites.add(DefSite(label, i, reg))
-        if may_be_entry and not sites:
+        sites = self._solver.before(label, index) & self._sites_of.get(
+            reg, frozenset()
+        )
+        if not sites and label == self.cfg.entry:
             return frozenset({self.entry_site(reg)})
-        return frozenset(sites)
+        return sites
 
     def defs_reaching_use(
         self, label: str, index: int

@@ -1,7 +1,7 @@
 """Register-vulnerability and address-criticality analyses.
 
-Both run on the generic lint worklist :class:`repro.lint.dataflow.Solver`
-and drive the selective-protection policies in :mod:`repro.policy`:
+Both stand on the dataflow engine in :mod:`repro.analysis.dataflow` and
+drive the selective-protection policies in :mod:`repro.policy`:
 
 - :class:`AddressCriticality` (PRESAGE-style) is a backward may-analysis
   of the full chains feeding memory address operands, branch predicates
@@ -14,11 +14,12 @@ and drive the selective-protection policies in :mod:`repro.policy`:
   register accrues vulnerability for every instruction it sits live
   (and unconsumed) across, weighted by the instruction's issue/latency
   class from the :class:`repro.gpusim.config.GpuConfig` timing model and
-  by loop depth.  The ranking feeds ``top-k-vulnerable`` policies.
+  by loop depth.  It reads the per-point sets of
+  :class:`repro.analysis.liveness.Liveness`.  The ranking feeds
+  ``top-k-vulnerable`` policies.
 
-The lattices are frozensets of register names, like every shipped lint
-analysis; results are deterministic (sorted tie-breaks everywhere) so
-policies derived from them are hash-seed invariant.
+Results are keyed by register name and deterministic (sorted tie-breaks
+everywhere), so policies derived from them are hash-seed invariant.
 """
 
 from __future__ import annotations
@@ -28,10 +29,11 @@ from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, List, Tuple
 
 from repro.analysis.cfg import CFG
+from repro.analysis.dataflow import Analysis, Direction, Solver, Value
+from repro.analysis.liveness import Liveness
 from repro.analysis.loops import LoopInfo
 from repro.ir.instructions import Atom, Ld, St
 from repro.ir.types import Reg
-from repro.lint.dataflow import Analysis, Direction, Solver, Value
 
 
 class AddressCriticality(Analysis):
@@ -76,36 +78,14 @@ def solve_address_criticality(cfg: CFG) -> Solver:
 def address_critical_registers(cfg: CFG) -> FrozenSet[str]:
     """All registers critical at *any* program point.
 
-    The per-point backward replay matters: a register defined and
-    consumed as an address within one block is critical between those
-    points but appears in no block-boundary value.
+    Every instruction point counts: a register defined and consumed as an
+    address within one block is critical between those points but
+    appears in no block-boundary value.
     """
     solver = solve_address_criticality(cfg)
-    an = solver.analysis
-    out: set = set()
-    for blk in cfg.blocks:
-        value = solver.block_out[blk.label]
-        out |= value
-        insts = blk.instructions
-        for i in range(len(insts) - 1, -1, -1):
-            value = an.transfer(blk.label, i, insts[i], value)
-            out |= value
-    return frozenset(out)
-
-
-class LiveRegisters(Analysis):
-    """Classic backward liveness over register names (guard-aware: a
-    predicated definition may not execute, so it kills nothing)."""
-
-    direction = Direction.BACKWARD
-
-    def meet(self, a: Value, b: Value) -> Value:
-        return a | b
-
-    def transfer(self, label, index, inst, value: Value) -> Value:
-        if inst.guard is None:
-            value = value - frozenset(r.name for r in inst.defs())
-        return value | frozenset(r.name for r in inst.reg_uses())
+    return frozenset().union(
+        *(value for blk in cfg.blocks for value in solver.points(blk.label))
+    )
 
 
 @dataclass
@@ -183,26 +163,23 @@ def register_vulnerability(
         from repro.gpusim.config import FERMI_C2050
 
         gpu = FERMI_C2050
-    solver = Solver(cfg, LiveRegisters())
-    an = solver.analysis
+    liveness = Liveness(cfg)
     loops = LoopInfo(cfg)
     weights = _class_weights(gpu)
     scores: Dict[str, float] = {}
     for blk in cfg.blocks:
         depth_w = float(loop_base) ** loops.depth_of(blk.label)
         insts = blk.instructions
-        value = solver.block_out[blk.label]
+        points = liveness.live_points(blk.label)
         for i in range(len(insts) - 1, -1, -1):
             w = weights[_classify(insts[i])] * depth_w
-            for name in value:  # live across instruction i
-                scores[name] = scores.get(name, 0.0) + w
-            value = an.transfer(blk.label, i, insts[i], value)
+            for reg in points[i + 1]:  # live across instruction i
+                scores[reg.name] = scores.get(reg.name, 0.0) + w
     return VulnerabilityReport(scores=scores)
 
 
 __all__ = [
     "AddressCriticality",
-    "LiveRegisters",
     "VulnerabilityReport",
     "address_critical_registers",
     "register_vulnerability",

@@ -1,10 +1,10 @@
 """``repro.lint`` — rule-based static analysis over the Penny IR.
 
-A pluggable analyzer with a shared worklist dataflow engine
-(:mod:`repro.lint.dataflow`), typed diagnostics
-(:mod:`repro.lint.diagnostics`), a rule registry with per-rule
-enable/disable and severity overrides (:mod:`repro.lint.registry`),
-and three renderers — annotated text, JSONL via
+A pluggable analyzer with dataflow analyses (:mod:`repro.lint.dataflow`,
+solved by the shared worklist engine :mod:`repro.analysis.dataflow`),
+typed diagnostics (:mod:`repro.lint.diagnostics`), a rule registry with
+per-rule enable/disable and severity overrides
+(:mod:`repro.lint.registry`), and three renderers — annotated text, JSONL via
 :class:`repro.obs.MetricsSink`, and SARIF 2.1.0
 (:mod:`repro.lint.render`).
 

@@ -1,17 +1,16 @@
-"""The shared dataflow engine every lint rule builds on.
+"""The lint analyses, on the shared dataflow engine.
 
-One generic worklist solver (:class:`Solver`) parameterized by an
-:class:`Analysis` — direction, lattice values, meet, and a
-per-instruction transfer function — over the existing
-:class:`repro.analysis.cfg.CFG`.  Rules that need liveness or reaching
-definitions reuse :mod:`repro.analysis.liveness` /
+Each is an :class:`repro.analysis.dataflow.Analysis` solved by the
+worklist :class:`repro.analysis.dataflow.Solver`.  Rules that need
+liveness or reaching definitions reuse :mod:`repro.analysis.liveness` /
 :mod:`repro.analysis.reachingdefs` directly; this module only adds the
 analyses those passes do not already provide:
 
 - :class:`DefiniteAssignment` — forward *must* analysis of registers
   written on every path (meet = intersection).  The fuzz oracle's
   undefined-behavior filter and the ``uninit-read`` rule are both this
-  analysis, so they can never disagree.
+  analysis (through :func:`uninitialized_reads`), so they can never
+  disagree.
 - :class:`ThreadTaint` — forward *may* analysis of registers whose value
   can differ between threads of one block (seeded by ``%tid.*`` and
   atomic results).  Divergence and shared-memory race rules consume it.
@@ -25,150 +24,15 @@ meet, and precise enough for every rule shipped here.
 
 from __future__ import annotations
 
-import enum
-from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Set, Tuple
 
 from repro.analysis.cfg import CFG
+from repro.analysis.dataflow import Analysis, Direction, Solver, Value
 from repro.ir.instructions import Atom, Instruction, Ld
 from repro.ir.types import Reg, Special, SymRef
 
-Value = FrozenSet[str]
-
 #: special registers whose value differs between threads of one block
 THREAD_VARYING_SPECIALS = ("%tid.x", "%tid.y")
-
-
-class Direction(enum.Enum):
-    FORWARD = "forward"
-    BACKWARD = "backward"
-
-
-class Analysis:
-    """One dataflow problem: subclass and override the four hooks."""
-
-    direction: Direction = Direction.FORWARD
-
-    def boundary(self) -> Value:
-        """Value at the CFG entry (forward) / at exit blocks (backward).
-        Blocks with no predecessors (resp. successors) also start here —
-        for a *must* analysis that conservatively treats unreachable code
-        as having established nothing."""
-        return frozenset()
-
-    def init(self) -> Value:
-        """Optimistic initial value for all other blocks (the lattice
-        top); the solver refines it downward to the fixed point."""
-        return frozenset()
-
-    def meet(self, a: Value, b: Value) -> Value:
-        raise NotImplementedError
-
-    def transfer(
-        self, label: str, index: int, inst: Instruction, value: Value
-    ) -> Value:
-        """Value after ``inst`` (forward) / before it (backward)."""
-        raise NotImplementedError
-
-
-class Solver:
-    """Worklist fixed point of an :class:`Analysis` over a CFG.
-
-    ``block_in``/``block_out`` are in *execution* order regardless of
-    direction: ``block_in`` is the value on entry to the block's first
-    instruction, ``block_out`` after its last.  :meth:`before` /
-    :meth:`after` replay the transfer function to any instruction.
-    """
-
-    def __init__(self, cfg: CFG, analysis: Analysis):
-        self.cfg = cfg
-        self.analysis = analysis
-        self.block_in: Dict[str, Value] = {}
-        self.block_out: Dict[str, Value] = {}
-        self._solve()
-
-    # -- queries ------------------------------------------------------------
-
-    def before(self, label: str, index: int) -> Value:
-        """Dataflow value immediately before instruction ``index``."""
-        if self.analysis.direction is Direction.FORWARD:
-            value = self.block_in[label]
-            for i, inst in enumerate(self.cfg.block(label).instructions):
-                if i == index:
-                    break
-                value = self.analysis.transfer(label, i, inst, value)
-            return value
-        value = self.block_out[label]
-        insts = self.cfg.block(label).instructions
-        for i in range(len(insts) - 1, index - 1, -1):
-            value = self.analysis.transfer(label, i, insts[i], value)
-        return value
-
-    def after(self, label: str, index: int) -> Value:
-        """Dataflow value immediately after instruction ``index``."""
-        if self.analysis.direction is Direction.FORWARD:
-            inst = self.cfg.block(label).instructions[index]
-            return self.analysis.transfer(
-                label, index, inst, self.before(label, index)
-            )
-        value = self.block_out[label]
-        insts = self.cfg.block(label).instructions
-        for i in range(len(insts) - 1, index, -1):
-            value = self.analysis.transfer(label, i, insts[i], value)
-        return value
-
-    # -- solving ------------------------------------------------------------
-
-    def _through_block(self, label: str, value: Value) -> Value:
-        an = self.analysis
-        insts = self.cfg.block(label).instructions
-        if an.direction is Direction.FORWARD:
-            for i, inst in enumerate(insts):
-                value = an.transfer(label, i, inst, value)
-        else:
-            for i in range(len(insts) - 1, -1, -1):
-                value = an.transfer(label, i, insts[i], value)
-        return value
-
-    def _solve(self) -> None:
-        an = self.analysis
-        forward = an.direction is Direction.FORWARD
-        order = self.cfg.reverse_postorder()
-        if not forward:
-            order = list(reversed(order))
-        edges_in = self.cfg.preds if forward else self.cfg.succs
-        start: Dict[str, Value] = {}
-        result: Dict[str, Value] = {}
-        for label in order:
-            start[label] = an.init()
-            result[label] = an.init()
-
-        changed = True
-        while changed:
-            changed = False
-            for label in order:
-                sources = edges_in[label]
-                if not sources:
-                    incoming = an.boundary()
-                else:
-                    incoming: Optional[Value] = None
-                    for src in sources:
-                        v = result[src]
-                        incoming = (
-                            v if incoming is None else an.meet(incoming, v)
-                        )
-                out = self._through_block(label, incoming)
-                if incoming != start[label] or out != result[label]:
-                    start[label] = incoming
-                    result[label] = out
-                    changed = True
-
-        if forward:
-            self.block_in, self.block_out = start, result
-        else:
-            self.block_in, self.block_out = result, start
-
-
-# -- shipped analyses ------------------------------------------------------------
 
 
 def _universe(cfg: CFG) -> FrozenSet[str]:
@@ -228,12 +92,12 @@ def uninitialized_reads(cfg: CFG):
     solver = solve_definite_assignment(cfg)
     out = []
     for blk in cfg.blocks:
-        value = solver.block_in[blk.label]
-        an = solver.analysis
+        points = solver.points(blk.label)
         # (pred name, sense) -> registers defined under that guard since
         # the last redefinition of the predicate
         cond: Dict[Tuple[str, bool], Set[str]] = {}
         for i, inst in enumerate(blk.instructions):
+            value = points[i]
             guard_key = None
             if inst.guard is not None:
                 guard_key = (inst.guard[0].name, inst.guard[1])
@@ -251,7 +115,6 @@ def uninitialized_reads(cfg: CFG):
                     for key in list(cond):
                         if key[0] == reg.name:
                             del cond[key]
-            value = an.transfer(blk.label, i, inst, value)
     return out
 
 

@@ -140,10 +140,6 @@ class LintReport:
     def errors(self) -> List[Diagnostic]:
         return self.by_severity(Severity.ERROR)
 
-    @property
-    def warnings(self) -> List[Diagnostic]:
-        return self.by_severity(Severity.WARNING)
-
     def at_least(self, severity: Severity) -> List[Diagnostic]:
         return [d for d in self.diagnostics if d.severity.at_least(severity)]
 

@@ -108,11 +108,6 @@ class LintContext:
 
         return self._memo("rdefs", lambda: ReachingDefs(self.cfg))
 
-    def loops(self):
-        from repro.analysis.loops import LoopInfo
-
-        return self._memo("loops", lambda: LoopInfo(self.cfg))
-
     def control_deps(self):
         from repro.analysis.postdom import ControlDependence
 
@@ -122,13 +117,6 @@ class LintContext:
         from repro.analysis.alias import AliasAnalysis
 
         return self._memo("alias", lambda: AliasAnalysis(self.cfg))
-
-    def definite_assignment(self):
-        from repro.lint.dataflow import solve_definite_assignment
-
-        return self._memo(
-            "defassign", lambda: solve_definite_assignment(self.cfg)
-        )
 
     def uninitialized_reads(self):
         from repro.lint.dataflow import uninitialized_reads

@@ -1,12 +1,9 @@
 """The generic worklist solver and the shipped lint analyses."""
 
 from repro.analysis.cfg import CFG
-from repro.analysis.liveness import Liveness
+from repro.analysis.dataflow import Analysis, Direction, Solver
 from repro.ir.parser import parse_kernel
 from repro.lint.dataflow import (
-    Analysis,
-    Direction,
-    Solver,
     solve_definite_assignment,
     solve_symbol_taint,
     solve_thread_taint,
@@ -250,18 +247,6 @@ class _LiveRegs(Analysis):
 
 
 class TestBackwardDirection:
-    def test_backward_liveness_matches_the_dedicated_pass(self):
-        cfg = _cfg(DIAMOND)
-        solver = Solver(cfg, _LiveRegs())
-        reference = Liveness(cfg)
-        for blk in cfg.blocks:
-            assert solver.block_in[blk.label] == {
-                r.name for r in reference.live_in[blk.label]
-            }, blk.label
-            assert solver.block_out[blk.label] == {
-                r.name for r in reference.live_out[blk.label]
-            }, blk.label
-
     def test_backward_before_after_replay(self):
         cfg = _cfg(DIAMOND)
         solver = Solver(cfg, _LiveRegs())
