@@ -38,7 +38,7 @@ class TestList:
         assert main(["perf", "list"]) == 0
         out = capsys.readouterr().out
         for name in ("selftest", "executor", "compile", "cache",
-                     "batch", "tracer"):
+                     "batch", "tracer", "campaign"):
             assert name in out
 
     def test_json_listing(self, capsys):

@@ -22,14 +22,14 @@ class TestRegistry:
         names = {s.name for s in list_benches()}
         assert {
             "selftest", "executor", "compile", "cache", "batch",
-            "tracer",
+            "tracer", "campaign",
         } <= names
 
     def test_fast_subset(self):
         fast = set(fast_bench_names())
         assert "selftest" in fast
         assert "compile" in fast and "cache" in fast
-        assert "tracer" in fast
+        assert "tracer" in fast and "campaign" in fast
         # the heavyweights stay out of the CI gate subset
         assert "executor" not in fast and "batch" not in fast
 
@@ -67,6 +67,14 @@ class TestRunBench:
         # reps nest under the bench span via perf.repeat
         assert tracer.counters.counts["perf.benches"] == 1
         assert tracer.counters.counts["perf.reps"] >= 3
+
+    def test_campaign_bench_shape(self):
+        r = run_bench("campaign", FAST_CFG, {"injections": 2})
+        assert validate_bench_result(r.to_dict()) == []
+        assert set(r.series) == {"injection"}
+        assert r.metrics["injections"] == 2
+        assert r.metrics["injections_per_s"] > 0
+        assert r.metrics["outcome_sdc"] == r.metrics["outcome_due"] == 0
 
     def test_cache_bench_shape(self):
         r = run_bench(
