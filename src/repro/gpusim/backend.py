@@ -43,7 +43,10 @@ class ExecutorBackend(Protocol):
     :class:`ExecutionResult`\\ s for the same kernel, launch, memory
     image, and fault plan — including fault-hook ordering, recovery
     behavior, and exception messages.  The scalar interpreter is the
-    semantic oracle; the vector engine is the throughput engine.
+    semantic oracle; the vector engine is the throughput engine.  Both
+    run a launch through the one driver,
+    :func:`repro.gpusim.executor.run_launch`, and implement only how one
+    CTA runs (``_run_block(launch, mem, ctaid, result)``).
     """
 
     backend_name: str

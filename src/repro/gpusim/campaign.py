@@ -27,6 +27,17 @@ assumptions:
   for sharded campaigns, and Wilson-score confidence intervals on the
   outcome rates.
 
+- **Fast-forward and early exit.**  Every plan targets one thread, and
+  a CTA depends only on global/const memory and params, so an injection
+  starts at its target CTA from the golden run's memory and partial
+  result at that boundary, and once past it, stops where memory equals
+  the golden run's: the rest of the launch is the golden run's, and
+  its statistics complete the result.  Both are exact (records equal a
+  full simulation's) and skipped only when every golden lane fits the
+  watchdog budget, since a full run would time out in any CTA.  The
+  ambient tracer counts ``campaign.ctas_skipped`` and
+  ``campaign.early_exits``; records do not.
+
 - **Supervision.**  A worker that segfaults, is OOM-killed, or hangs
   past the wall-clock deadline (``wall_timeout`` — distinct from the
   instruction-budget watchdog, which cannot fire when the *worker* is
@@ -72,7 +83,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 import repro.obs as obs
 from repro.obs.metrics import Counters
 from repro.gpusim.backend import make_executor
-from repro.gpusim.executor import SimulationError
+from repro.gpusim.executor import ExecutionResult, SimulationError, run_launch
 from repro.gpusim.faults import (
     CheckpointFaultPlan,
     ComposedFaultPlan,
@@ -82,7 +93,7 @@ from repro.gpusim.faults import (
     RecoveryFaultPlan,
     classify_due,
 )
-from repro.gpusim.memory import MemoryError32
+from repro.gpusim.memory import MemoryError32, MemoryImage
 from repro.runtime.errors import (
     PoisonJobError,
     ReconciliationError,
@@ -415,13 +426,22 @@ class _CampaignState:
         code = self.code_factory()
         self.codeword_bits = code.n if code is not None else 33
 
-        # Golden run (generous budget — the watchdog is for injected runs).
+        # Golden run (generous budget — the watchdog is for injected
+        # runs), keeping clones of memory and of the running result at
+        # every CTA boundary: boundaries[k] is the state before CTA k,
+        # boundaries[grid] the final one.
         mem, _, out = self.wl.make()
-        golden_exec = make_executor(
-            self.kernel,
-            backend=spec.backend,
-            rf_code_factory=self.code_factory,
-        ).run(self.wl.launch, mem)
+        self.boundaries: List[Tuple[MemoryImage, ExecutionResult]] = []
+        golden_exec = run_launch(
+            make_executor(
+                self.kernel,
+                backend=spec.backend,
+                rf_code_factory=self.code_factory,
+            ),
+            self.wl.launch,
+            mem,
+            before_cta=self._keep_boundary,
+        )
         self.out = out
         self.golden = mem.download(*out)
         self.lifetimes = {
@@ -434,6 +454,17 @@ class _CampaignState:
                 f"{spec.benchmark}: no thread executed enough instructions"
             )
         self.keys = sorted(self.lifetimes)
+        # A full injected run raises WatchdogTimeout in any CTA with a
+        # lane over the budget, so CTAs may be skipped only when every
+        # golden lane fits it.
+        self.fast_forward = (
+            max(golden_exec.thread_instructions.values())
+            <= spec.max_instructions
+        )
+
+    def _keep_boundary(self, ctaid: int, mem: MemoryImage, result) -> bool:
+        self.boundaries.append((mem.clone(), result.clone()))
+        return False
 
     # -- deterministic plan construction --
 
@@ -517,9 +548,19 @@ class _CampaignState:
 
     # -- one injection --
 
+    def _target_ctas(self, plan) -> Tuple[int, int]:
+        """``(first, last)`` CTA an injection must simulate: the span of
+        its plan's target threads, or every CTA (``last == grid``: never
+        exit early) for an untargeted plan or a budget some golden lane
+        exceeds."""
+        targets = plan.hook_threads()
+        if not targets or not self.fast_forward:
+            return 0, self.wl.launch.grid
+        ctas = [ctaid for ctaid, _ in targets]
+        return min(ctas), max(ctas)
+
     def run_index(self, index: int) -> InjectionRecord:
         surface, seed, plan = self.plan_for_index(index)
-        mem = self.wl.make_memory()
         executor = make_executor(
             self.kernel,
             backend=self.spec.backend,
@@ -528,13 +569,41 @@ class _CampaignState:
             max_recoveries_per_thread=self.spec.max_recoveries,
             fault_plan=plan,
         )
+        # Fast-forward: CTAs before the first target run exactly as in
+        # the golden run, so resume from its state at that boundary.
+        first, last = self._target_ctas(plan)
+        grid = self.wl.launch.grid
+        mem, partial = (x.clone() for x in self.boundaries[first])
+        obs.inc("campaign.ctas_skipped", first)
+        exited_at = grid
+
+        def exit_early(ctaid: int, mem: MemoryImage, result) -> bool:
+            # Early exit: past the last target, a memory equal to golden's
+            # at the same boundary makes the rest of the launch golden's.
+            nonlocal exited_at
+            if not last < ctaid < grid:
+                return False
+            golden_mem, golden_partial = self.boundaries[ctaid]
+            if not mem.same_contents(golden_mem):
+                return False
+            result.add_ctas(self.boundaries[grid][1], golden_partial)
+            exited_at = ctaid
+            return True
+
         # A span-less tracer scoped to this one injection: the executor's
         # end-of-run dump and recovery histograms land in a fresh registry
         # whose snapshot rides on the record across the process boundary.
         injection_obs = obs.Tracer(record_spans=False)
         try:
             with injection_obs:
-                result = executor.run(self.wl.launch, mem)
+                result = run_launch(
+                    executor,
+                    self.wl.launch,
+                    mem,
+                    start=first,
+                    result=partial,
+                    before_cta=exit_early,
+                )
         except (SimulationError, MemoryError32) as exc:
             injection_obs.counters.inc(f"campaign.due.{classify_due(exc).value}")
             return InjectionRecord(
@@ -549,7 +618,12 @@ class _CampaignState:
                 detail=str(exc),
                 counters=injection_obs.counters.to_dict(),
             )
-        output = mem.download(*self.out)
+        if exited_at < grid:
+            obs.inc("campaign.early_exits")
+            obs.inc("campaign.ctas_skipped", grid - exited_at)
+            output = self.golden
+        else:
+            output = mem.download(*self.out)
         if not plan.injected:
             outcome = FaultOutcome.NOT_INJECTED
         elif output == self.golden:

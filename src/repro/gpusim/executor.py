@@ -9,16 +9,24 @@ register file; a detection hands control to the recovery runtime
 The interpreter also produces the dynamic instruction statistics the
 timing and energy models consume: per-warp issue counts by instruction
 class, memory traffic by space, and register-file access counts.
+
+Both engines (this one and :mod:`repro.gpusim.vexec`) run a launch
+through one driver, :func:`run_launch`, and differ only in how they run
+one CTA (``_run_block``).  CTAs run one at a time in ``ctaid`` order,
+each from fresh registers, shared and local memory, so a launch can
+resume at any CTA boundary from copies of its memory image and partial
+result; the campaign engine's fast-forward does exactly that.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import math
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import repro.obs as obs
 from repro.coding.parity import ParityCode
@@ -191,6 +199,45 @@ class ExecutionResult:
             "rf_writes": self.rf_writes,
         }
 
+    def clone(self) -> "ExecutionResult":
+        """An independent copy (the per-CTA tables are copied too)."""
+        return dataclasses.replace(
+            self,
+            warp_counts={k: Counter(c) for k, c in self.warp_counts.items()},
+            thread_instructions=dict(self.thread_instructions),
+        )
+
+    def add_ctas(self, final: "ExecutionResult", base: "ExecutionResult") -> None:
+        """Add the CTAs a run ran after one of its CTA boundaries.
+
+        ``final`` is the run's result and ``base`` a clone of it taken at
+        a boundary after its first CTA: every sum grows by its delta
+        between the two, including ``global_accesses``, a cumulative
+        counter that the first CTA sets, and the per-CTA tables gain the
+        entries ``base`` lacks."""
+        for name in _CTA_SUMS:
+            delta = getattr(final, name) - getattr(base, name)
+            setattr(self, name, getattr(self, name) + delta)
+        for key, n in final.thread_instructions.items():
+            if key not in base.thread_instructions:
+                self.thread_instructions[key] = n
+        for key, counts in final.warp_counts.items():
+            if key not in base.warp_counts:
+                self.warp_counts[key] = Counter(counts)
+
+
+#: the :class:`ExecutionResult` totals :meth:`ExecutionResult.add_ctas` adds
+_CTA_SUMS = (
+    "rf_reads",
+    "rf_writes",
+    "detections",
+    "recoveries",
+    "threads",
+    "instructions",
+    "shared_accesses",
+    "global_accesses",
+)
+
 
 class ThreadContext:
     """One thread's architectural state."""
@@ -289,6 +336,66 @@ def _publish_counters(result: ExecutionResult) -> None:
         obs.inc(f"sim.inst.{cls}", n)
 
 
+def run_launch(
+    engine,
+    launch: Launch,
+    mem: MemoryImage,
+    *,
+    start: int = 0,
+    result: Optional[ExecutionResult] = None,
+    before_cta: Optional[
+        Callable[[int, MemoryImage, ExecutionResult], bool]
+    ] = None,
+) -> ExecutionResult:
+    """The launch driver of both engines: run CTAs ``start`` to
+    ``launch.grid - 1`` one at a time, in ``ctaid`` order, through
+    ``engine._run_block``, inside one ``sim.run`` span, then publish the
+    run's ``sim.*`` counters.
+
+    A CTA starts from fresh registers, shared and local memory, so all it
+    inherits from earlier CTAs is ``mem`` (global and const memory,
+    params) and the running ``result``.  With ``result=None`` the driver
+    starts a fresh launch and runs its prologue: it reserves the global
+    checkpoint area and installs the launch params in ``mem``.  Given a
+    ``result``, it resumes a launch whose prologue already ran in
+    ``mem``, e.g. clones of both taken at CTA boundary ``start`` of an
+    earlier run.  Either way a stateful fault plan is ``reset()`` first.
+
+    ``before_cta(ctaid, mem, result)`` runs before every CTA and once
+    more with ``ctaid == launch.grid`` after the last; a true return
+    ends the launch before CTA ``ctaid``.
+    """
+    with obs.span(
+        "sim.run",
+        kernel=engine.kernel.name,
+        grid=launch.grid,
+        block=launch.block,
+        faulted=engine.fault_plan is not None,
+        backend=engine.backend_name,
+    ):
+        # Stateful fault plans (rate plans, campaign plans) carry per-run
+        # bookkeeping; reset it so a reused plan cannot leak injection
+        # schedules or counters from a previous run into this one.
+        reset = getattr(engine.fault_plan, "reset", None)
+        if reset is not None:
+            reset()
+        if result is None:
+            result = ExecutionResult(backend=engine.backend_name)
+            ckpt_words = engine.kernel.meta.get("ckpt_global_words", 0)
+            mem.ckpt_global_base = (
+                mem.alloc_global(ckpt_words) if ckpt_words else 0
+            )
+            mem.ckpt_global_words = ckpt_words
+            mem.params.update(launch.params)
+        for ctaid in range(start, launch.grid + 1):
+            if before_cta is not None and before_cta(ctaid, mem, result):
+                break
+            if ctaid < launch.grid:
+                engine._run_block(launch, mem, ctaid, result)
+    _publish_counters(result)
+    return result
+
+
 class Executor:
     """Executes one kernel over a launch grid."""
 
@@ -320,46 +427,8 @@ class Executor:
         self._recovery_labels = set(kernel.meta.get("region_boundaries", set()))
         self._recovery_labels |= set(kernel.meta.get("adjustment_blocks", set()))
 
-    # -- launch ------------------------------------------------------------------
-
     def run(self, launch: Launch, mem: MemoryImage) -> ExecutionResult:
-        with obs.span(
-            "sim.run",
-            kernel=self.kernel.name,
-            grid=launch.grid,
-            block=launch.block,
-            faulted=self.fault_plan is not None,
-            backend=self.backend_name,
-        ):
-            result = self._run(launch, mem)
-        _publish_counters(result)
-        return result
-
-    def _publish_counters(self, result: ExecutionResult) -> None:
-        _publish_counters(result)
-
-    def _run(self, launch: Launch, mem: MemoryImage) -> ExecutionResult:
-        result = ExecutionResult(backend=self.backend_name)
-        # Stateful fault plans (rate plans, campaign plans) carry per-run
-        # bookkeeping; reset it so a reused plan cannot leak injection
-        # schedules or counters from a previous run into this one.
-        if self.fault_plan is not None:
-            reset = getattr(self.fault_plan, "reset", None)
-            if reset is not None:
-                reset()
-        # Reserve global checkpoint storage once per launch.
-        ckpt_words = self.kernel.meta.get("ckpt_global_words", 0)
-        ckpt_global_base = (
-            mem.alloc_global(ckpt_words) if ckpt_words else 0
-        )
-        mem.params.update(launch.params)
-        self._ckpt_global_base = ckpt_global_base
-        mem.ckpt_global_base = ckpt_global_base  # type: ignore[attr-defined]
-        mem.ckpt_global_words = ckpt_words  # type: ignore[attr-defined]
-
-        for ctaid in range(launch.grid):
-            self._run_block(launch, mem, ctaid, result)
-        return result
+        return run_launch(self, launch, mem)
 
     def _run_block(
         self,
@@ -395,7 +464,7 @@ class Executor:
             mem=mem,
             shared=shared,
             shared_bases=shared_bases,
-            ckpt_global_base=self._ckpt_global_base,
+            ckpt_global_base=mem.ckpt_global_base,
         )
 
         # Cooperative scheduling: run threads round-robin in slices; a

@@ -15,6 +15,8 @@ checkpoint overwrite does to a struck slot).  Values are stored as raw
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Set
 
@@ -112,6 +114,14 @@ class WordStore:
     def read_block(self, addr: int, count: int) -> List[int]:
         return [self.load(addr + 4 * i) for i in range(count)]
 
+    def clone(self) -> "WordStore":
+        """An independent copy: words, poison set, access counters and
+        allocator state."""
+        twin = copy.copy(self)
+        twin.words = dict(self.words)
+        twin.poisoned = set(self.poisoned)
+        return twin
+
 
 @dataclass
 class MemoryImage:
@@ -125,6 +135,10 @@ class MemoryImage:
     global_mem: WordStore = field(default_factory=lambda: WordStore("global"))
     const_mem: WordStore = field(default_factory=lambda: WordStore("const"))
     params: Dict[str, int] = field(default_factory=dict)
+    #: the launch's global checkpoint area (base address, size in words),
+    #: reserved by the launch prologue
+    ckpt_global_base: int = 0
+    ckpt_global_words: int = 0
 
     def alloc_global(self, num_words: int) -> int:
         return self.global_mem.allocate(num_words * 4)
@@ -140,3 +154,24 @@ class MemoryImage:
 
     def snapshot_global(self) -> Dict[int, int]:
         return dict(self.global_mem.words)
+
+    def clone(self) -> "MemoryImage":
+        """An independent copy of every launch-wide memory state."""
+        return dataclasses.replace(
+            self,
+            global_mem=self.global_mem.clone(),
+            const_mem=self.const_mem.clone(),
+            params=dict(self.params),
+        )
+
+    def same_contents(self, other: "MemoryImage") -> bool:
+        """Do global and const memory hold the same words and the same
+        poisoned (ECC-uncorrectable) words as ``other``'s?  Access
+        counters do not count."""
+        return all(
+            mine.words == theirs.words and mine.poisoned == theirs.poisoned
+            for mine, theirs in (
+                (self.global_mem, other.global_mem),
+                (self.const_mem, other.const_mem),
+            )
+        )

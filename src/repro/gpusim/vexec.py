@@ -61,8 +61,8 @@ from repro.gpusim.executor import (
     _classify,
     _float_op,
     _plan_takes_env,
-    _publish_counters,
     f2b,
+    run_launch,
 )
 from repro.gpusim.memory import MemoryImage, WordStore
 from repro.gpusim.regfile import ParityError
@@ -571,35 +571,7 @@ class VectorExecutor:
     # -- launch --
 
     def run(self, launch: Launch, mem: MemoryImage) -> ExecutionResult:
-        with obs.span(
-            "sim.run",
-            kernel=self.kernel.name,
-            grid=launch.grid,
-            block=launch.block,
-            faulted=self.fault_plan is not None,
-            backend=self.backend_name,
-        ):
-            with np.errstate(all="ignore"):
-                result = self._run(launch, mem)
-        _publish_counters(result)
-        return result
-
-    def _run(self, launch: Launch, mem: MemoryImage) -> ExecutionResult:
-        result = ExecutionResult(backend=self.backend_name)
-        if self.fault_plan is not None:
-            reset = getattr(self.fault_plan, "reset", None)
-            if reset is not None:
-                reset()
-        ckpt_words = self.kernel.meta.get("ckpt_global_words", 0)
-        ckpt_global_base = mem.alloc_global(ckpt_words) if ckpt_words else 0
-        mem.params.update(launch.params)
-        self._ckpt_global_base = ckpt_global_base
-        mem.ckpt_global_base = ckpt_global_base  # type: ignore[attr-defined]
-        mem.ckpt_global_words = ckpt_words  # type: ignore[attr-defined]
-
-        for ctaid in range(launch.grid):
-            self._run_block(launch, mem, ctaid, result)
-        return result
+        return run_launch(self, launch, mem)
 
     def _run_block(
         self,
@@ -620,10 +592,11 @@ class VectorExecutor:
             mem=mem,
             shared=shared,
             shared_bases=shared_bases,
-            ckpt_global_base=self._ckpt_global_base,
+            ckpt_global_base=mem.ckpt_global_base,
         )
         state = _VBlockState(self, launch, env, ctaid)
-        self._schedule(state)
+        with np.errstate(all="ignore"):
+            self._schedule(state)
         state.aggregate(result)
 
     # -- the divergence-mask scheduler --
