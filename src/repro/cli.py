@@ -56,6 +56,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager, nullcontext
 from typing import List, Optional
 
 import repro.obs as obs
@@ -89,8 +90,8 @@ class _Observation:
     """
 
     def __init__(self, args: argparse.Namespace):
-        self.trace_out = getattr(args, "trace_out", None)
-        self.metrics_out = getattr(args, "metrics_out", None)
+        self.trace_out = args.trace_out
+        self.metrics_out = args.metrics_out
         self.tracer: Optional[obs.Tracer] = (
             obs.Tracer()
             if (self.trace_out or self.metrics_out)
@@ -127,6 +128,36 @@ class _Observation:
         return False
 
 
+@contextmanager
+def _chaos(args: argparse.Namespace, prog: str):
+    """``--chaos`` / ``--chaos-seed`` plumbing: arms the plan for the
+    ``with`` block and prints what it injected on exit; inert without
+    ``--chaos``."""
+    if not args.chaos:
+        yield
+        return
+    from repro.serve.chaos import ChaosEngine, ChaosPlan
+
+    plan = ChaosPlan.parse(args.chaos, seed=args.chaos_seed)
+    print(
+        f"{prog}: chaos plan armed "
+        f"({len(plan.rules)} rule(s), seed {plan.seed})",
+        file=sys.stderr,
+        flush=True,
+    )
+    with ChaosEngine(plan) as engine:
+        yield
+    summary = engine.summary()
+    by_kind = ", ".join(
+        f"{kind}={count}" for kind, count in summary["by_kind"].items()
+    ) or "none"
+    print(
+        f"{prog}: chaos injected {summary['injections']} "
+        f"fault(s) ({by_kind})",
+        file=sys.stderr,
+    )
+
+
 def _build_config(args: argparse.Namespace) -> PennyConfig:
     config = scheme_config(args.scheme)
     if args.pruning:
@@ -139,7 +170,7 @@ def _build_config(args: argparse.Namespace) -> PennyConfig:
         config.low_opts = False
     if args.param_noalias:
         config.param_noalias = True
-    if getattr(args, "policy", None):
+    if args.policy:
         from repro.policy import PolicyError, ProtectionPolicy
 
         try:
@@ -150,30 +181,26 @@ def _build_config(args: argparse.Namespace) -> PennyConfig:
 
 
 def _compile_all(args: argparse.Namespace):
-    from contextlib import nullcontext
-
     source = _read_source(args.input)
     config = _build_config(args)
     launch = LaunchConfig(
         threads_per_block=args.block, num_blocks=args.grid
     )
-    strict = not getattr(args, "no_strict", False)
-    cache_dir = getattr(args, "cache_dir", None)
-    jobs = getattr(args, "jobs", 1) or 1
+    strict = not args.no_strict
     cache_ctx = nullcontext()
-    if cache_dir:
+    if args.cache_dir:
         from repro.serve import CompileCache
 
-        cache_ctx = CompileCache(directory=cache_dir)
+        cache_ctx = CompileCache(directory=args.cache_dir)
     with cache_ctx:
-        if jobs > 1:
+        if args.jobs > 1:
             from repro.core.errors import CompileError
             from repro.serve import compile_batch, jobs_from_source
 
             batch_jobs = jobs_from_source(
                 source, config, launch, strict=strict
             )
-            report = compile_batch(batch_jobs, workers=jobs)
+            report = compile_batch(batch_jobs, workers=args.jobs)
             for failed in report.failures:
                 err = failed.error or {}
                 raise CompileError(
@@ -273,7 +300,7 @@ def _verify_corpus(args: argparse.Namespace) -> int:
         result = run_case(
             case,
             scheme=args.scheme,
-            strict=getattr(args, "strict", False),
+            strict=args.strict,
             iteration=finding.iteration,
         )
         got = result.finding.fingerprint if result.finding else result.status
@@ -314,7 +341,7 @@ def _campaign_fsck(args: argparse.Namespace) -> int:
     )
     print(
         f"  lines: {fsck.total_lines} total, {fsck.record_lines} records, "
-        f"{fsck.corrupt_lines} corrupt, {fsck.legacy_lines} legacy"
+        f"{fsck.corrupt_lines} corrupt"
     )
     if fsck.duplicate_indices:
         shown = ", ".join(map(str, fsck.duplicate_indices[:10]))
@@ -371,17 +398,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         backend=args.backend,
         policy=args.policy,
     )
-    chaos = None
-    if getattr(args, "chaos", None):
-        from repro.serve.chaos import ChaosEngine, ChaosPlan
-
-        plan = ChaosPlan.parse(args.chaos, seed=args.chaos_seed)
-        chaos = ChaosEngine(plan)
-        print(
-            f"penny campaign: chaos plan armed "
-            f"({len(plan.rules)} rule(s), seed {plan.seed})",
-            file=sys.stderr,
-        )
     campaign = ParallelCampaign(
         spec,
         workers=args.workers,
@@ -389,22 +405,9 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         wall_timeout=args.wall_timeout,
         poison_threshold=args.poison_threshold,
     )
-    with _Observation(args) as watch:
-        if chaos is not None:
-            with chaos:
-                report = campaign.run(
-                    resume=args.resume, handle_signals=True
-                )
-        else:
-            report = campaign.run(resume=args.resume, handle_signals=True)
+    with _chaos(args, "penny campaign"), _Observation(args) as watch:
+        report = campaign.run(resume=args.resume, handle_signals=True)
         watch.report(report)
-    if chaos is not None:
-        summary = chaos.summary()
-        print(
-            f"penny campaign: chaos injected {summary['injections']} "
-            f"fault(s) {summary['by_kind']}",
-            file=sys.stderr,
-        )
 
     recon = report.reconciliation()
     sup = report.supervision or {}
@@ -647,7 +650,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
                     )
                     if args.compiled:
                         lint_config = scheme_config(args.scheme)
-                        if getattr(args, "policy", None):
+                        if args.policy:
                             lint_config.policy = args.policy
                         compiler = PennyCompiler(lint_config, strict=False)
                         launch = LaunchConfig(
@@ -727,9 +730,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     recovered_all = True
     with tracer:
         for kernel in module.kernels:
-            compiler = PennyCompiler(
-                config, strict=not getattr(args, "no_strict", False)
-            )
+            compiler = PennyCompiler(config, strict=not args.no_strict)
             result = compiler.compile(kernel, launch_config)
             reports.append(result)
 
@@ -831,39 +832,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
         )
 
     threading.Thread(target=announce, daemon=True).start()
-    chaos = None
-    if getattr(args, "chaos", None):
-        from repro.serve.chaos import ChaosEngine, ChaosPlan
-
-        plan = ChaosPlan.parse(args.chaos, seed=args.chaos_seed)
-        chaos = ChaosEngine(plan)
-        print(
-            f"penny serve: chaos plan armed "
-            f"({len(plan.rules)} rule(s), seed {plan.seed})",
-            file=sys.stderr,
-            flush=True,
-        )
-    with _Observation(args):
-        if chaos is not None:
-            with chaos:
-                status = server.run()
-        else:
+    with _chaos(args, "penny serve"):
+        with _Observation(args):
             status = server.run()
-    print(
-        f"penny serve: drained ({server.stats.compiles} compile(s), "
-        f"{server.stats.busy_rejections} busy rejection(s), "
-        f"cache hit rate {server.cache.stats.hit_rate:.1%})",
-        file=sys.stderr,
-    )
-    if chaos is not None:
-        summary = chaos.summary()
-        by_kind = ", ".join(
-            f"{kind}={count}"
-            for kind, count in summary["by_kind"].items()
-        ) or "none"
         print(
-            f"penny serve: chaos injected {summary['injections']} "
-            f"fault(s) ({by_kind})",
+            f"penny serve: drained ({server.stats.compiles} compile(s), "
+            f"{server.stats.busy_rejections} busy rejection(s), "
+            f"cache hit rate {server.cache.stats.hit_rate:.1%})",
             file=sys.stderr,
         )
     return status
@@ -913,7 +888,7 @@ def cmd_client(args: argparse.Namespace) -> int:
                     "threads_per_block": args.block,
                     "num_blocks": args.grid,
                 },
-                strict=not getattr(args, "no_strict", False),
+                strict=not args.no_strict,
                 name=kernel.name,
             )
             if args.json:
@@ -970,6 +945,27 @@ def cmd_schemes(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _apply_backend(args: argparse.Namespace) -> None:
+    """Make ``--backend`` the process default, so every ``auto``
+    resolution downstream (oracle replays, spawned helpers) follows the
+    flag."""
+    if args.backend != "auto":
+        import os
+
+        from repro.gpusim.backend import BACKEND_ENV_VAR
+
+        os.environ[BACKEND_ENV_VAR] = args.backend
+
+
+# -- flag groups -------------------------------------------------------------
+#
+# Each adder declares one group of flags on the subparser it is given.
+# Every subcommand gets its own Action objects (argparse ``parents=``
+# would share them, so one subcommand's ``set_defaults`` would leak into
+# the others); a group whose default differs per subcommand takes it as
+# an argument.
+
+
 def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend", default="auto",
@@ -978,19 +974,6 @@ def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
              "(auto picks the vectorized engine; scalar is the "
              "reference interpreter)",
     )
-
-
-def _apply_backend(args: argparse.Namespace) -> None:
-    """Make ``--backend`` the process default, so every ``auto``
-    resolution downstream (oracle replays, spawned helpers) follows the
-    flag."""
-    backend = getattr(args, "backend", None)
-    if backend and backend != "auto":
-        import os
-
-        from repro.gpusim.backend import BACKEND_ENV_VAR
-
-        os.environ[BACKEND_ENV_VAR] = backend
 
 
 def _add_observe_flags(parser: argparse.ArgumentParser) -> None:
@@ -1004,6 +987,85 @@ def _add_observe_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_config_flags(
+    parser: argparse.ArgumentParser, block: int = 256, grid: int = 4
+) -> None:
+    """The compile configuration (:func:`_build_config`) and the launch
+    shape the storage layout is planned for."""
+    parser.add_argument(
+        "--scheme", default=SCHEME_PENNY, choices=_SCHEMES,
+        help="comparison-scheme preset to start from",
+    )
+    parser.add_argument(
+        "--pruning", choices=("none", "basic", "optimal"), default=None
+    )
+    parser.add_argument(
+        "--storage", choices=("shared", "global", "auto"), default=None
+    )
+    parser.add_argument(
+        "--overwrite", type=Scheme.parse, choices=tuple(Scheme),
+        default=None, metavar="{rr,sa,auto,none}",
+        help="overwrite-prevention scheme (aliases: renaming, "
+             "storage-alternation, off)",
+    )
+    parser.add_argument("--no-low-opts", action="store_true")
+    parser.add_argument(
+        "--param-noalias", action="store_true",
+        help="assume distinct pointer params never alias (restrict)",
+    )
+    parser.add_argument(
+        "--policy", default=None, metavar="POLICY",
+        help="protection policy (full, address-only, "
+             "top-k-vulnerable[:K], detection-only, none; "
+             "';'-separated region overrides)",
+    )
+    parser.add_argument("--block", type=int, default=block,
+                        help="threads per block")
+    parser.add_argument("--grid", type=int, default=grid,
+                        help="number of blocks")
+    parser.add_argument(
+        "--no-strict", action="store_true",
+        help="compile through the fallback lattice instead of "
+             "raising on pass failure",
+    )
+
+
+def _add_cache_dir_flag(parser: argparse.ArgumentParser, default: str) -> None:
+    parser.add_argument(
+        "--cache-dir", default=None, metavar="DIR",
+        help=f"on-disk compile cache directory (default {default})",
+    )
+
+
+def _add_chaos_flags(
+    parser: argparse.ArgumentParser, seed: Optional[int]
+) -> None:
+    parser.add_argument(
+        "--chaos", default=None, metavar="SPEC",
+        help="chaos plan: comma-separated kind[:p=..][:max=..][:after=..]"
+             "[:delay=..] rules (e.g. 'worker.kill:p=0.2:max=3,"
+             "cache.corrupt:p=0.5' for serve, 'campaign.worker.kill:"
+             "p=0.1:max=3,journal.torn:p=0.05' for campaign), or "
+             "@file.json with a saved plan",
+    )
+    parser.add_argument(
+        "--chaos-seed", type=int, default=seed,
+        help="seed for the chaos plan's deterministic fault sequence",
+    )
+
+
+def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
+    """Seed, inline-or-pooled workers and JSON output of a sweep."""
+    parser.add_argument("--seed", type=int, default=2020)
+    parser.add_argument(
+        "--workers", type=int, default=1,
+        help="worker processes (default 1 = inline)",
+    )
+    parser.add_argument(
+        "--json", action="store_true", help="machine-readable output"
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.cli",
@@ -1011,83 +1073,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_compile = sub.add_parser(
-        "compile", help="compile kernels and print protected PTX"
-    )
-    p_report = sub.add_parser(
-        "report", help="compile kernels and print statistics as JSON"
-    )
-    p_verify = sub.add_parser(
-        "verify",
-        help="compile kernels and statically verify their recovery metadata",
-    )
-    for p in (p_compile, p_report, p_verify):
-        if p is p_verify:
+    for name, func, summary in (
+        ("compile", cmd_compile, "compile kernels and print protected PTX"),
+        ("report", cmd_report,
+         "compile kernels and print statistics as JSON"),
+        ("verify", cmd_verify,
+         "compile kernels and statically verify their recovery metadata"),
+    ):
+        p = sub.add_parser(name, help=summary)
+        if name == "verify":
             p.add_argument(
                 "input", nargs="?", default=None,
                 help="PTX-subset file, or '-' for stdin "
                      "(omit when using --corpus)",
             )
+            p.add_argument(
+                "--corpus", default=None, metavar="JSONL",
+                help="re-check a fuzz finding corpus instead of compiling "
+                     "a file",
+            )
+            p.add_argument(
+                "--strict", action="store_true",
+                help="with --corpus: replay findings against a strict "
+                     "compiler",
+            )
         else:
             p.add_argument("input", help="PTX-subset file, or '-' for stdin")
-        p.add_argument(
-            "--scheme", default=SCHEME_PENNY, choices=_SCHEMES,
-            help="comparison-scheme preset to start from",
-        )
-        p.add_argument(
-            "--pruning", choices=("none", "basic", "optimal"), default=None
-        )
-        p.add_argument(
-            "--storage", choices=("shared", "global", "auto"), default=None
-        )
-        p.add_argument(
-            "--overwrite", type=Scheme.parse, choices=tuple(Scheme),
-            default=None, metavar="{rr,sa,auto,none}",
-            help="overwrite-prevention scheme (aliases: renaming, "
-                 "storage-alternation, off)",
-        )
-        p.add_argument("--no-low-opts", action="store_true")
-        p.add_argument(
-            "--param-noalias", action="store_true",
-            help="assume distinct pointer params never alias (restrict)",
-        )
-        p.add_argument(
-            "--policy", default=None, metavar="POLICY",
-            help="protection policy (full, address-only, "
-                 "top-k-vulnerable[:K], detection-only, none; "
-                 "';'-separated region overrides)",
-        )
-        p.add_argument("--block", type=int, default=256,
-                       help="threads per block (storage layout)")
-        p.add_argument("--grid", type=int, default=4,
-                       help="number of blocks (storage layout)")
-        p.add_argument(
-            "--no-strict", action="store_true",
-            help="compile through the fallback lattice instead of "
-                 "raising on pass failure",
-        )
+        _add_config_flags(p)
         p.add_argument(
             "--jobs", type=int, default=1, metavar="N",
             help="compile a multi-kernel module on N worker processes "
                  "(repro.serve batch driver)",
         )
-        p.add_argument(
-            "--cache-dir", default=None, metavar="DIR",
-            help="consult/fill an on-disk compile cache at DIR",
-        )
+        _add_cache_dir_flag(p, "none")
         _add_backend_flag(p)
-    p_verify.add_argument(
-        "--corpus", default=None, metavar="JSONL",
-        help="re-check a fuzz finding corpus instead of compiling a file",
-    )
-    p_verify.add_argument(
-        "--strict", action="store_true",
-        help="with --corpus: replay findings against a strict compiler",
-    )
-    _add_observe_flags(p_compile)
-    p_compile.set_defaults(func=cmd_compile)
-    p_report.set_defaults(func=cmd_report)
-    p_verify.set_defaults(func=cmd_verify)
+        if name == "compile":
+            _add_observe_flags(p)
+        p.set_defaults(func=func)
 
     p_schemes = sub.add_parser("schemes", help="list scheme presets")
     p_schemes.set_defaults(func=cmd_schemes)
@@ -1115,24 +1137,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--request-timeout", type=float, default=120.0,
         help="per-request compile deadline in seconds (default 120)",
     )
-    p_serve.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="on-disk compile cache directory (default memory-only)",
-    )
+    _add_cache_dir_flag(p_serve, "memory-only")
     p_serve.add_argument(
         "--threads", action="store_true",
         help="thread pool instead of process pool (debugging)",
     )
-    p_serve.add_argument(
-        "--chaos", default=None, metavar="SPEC",
-        help="chaos plan: comma-separated kind[:p=..][:max=..][:after=..]"
-             "[:delay=..] rules (e.g. 'worker.kill:p=0.2:max=3,"
-             "cache.corrupt:p=0.5'), or @file.json with a saved plan",
-    )
-    p_serve.add_argument(
-        "--chaos-seed", type=int, default=0,
-        help="seed for the chaos plan's deterministic fault sequence",
-    )
+    _add_chaos_flags(p_serve, seed=0)
     _add_observe_flags(p_serve)
     p_serve.set_defaults(func=cmd_serve)
 
@@ -1163,32 +1173,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="base backoff delay in seconds (doubles per retry, "
              "jittered)",
     )
-    p_client.add_argument(
-        "--scheme", default=SCHEME_PENNY, choices=_SCHEMES,
-        help="comparison-scheme preset to start from",
-    )
-    p_client.add_argument(
-        "--pruning", choices=("none", "basic", "optimal"), default=None
-    )
-    p_client.add_argument(
-        "--storage", choices=("shared", "global", "auto"), default=None
-    )
-    p_client.add_argument(
-        "--overwrite", type=Scheme.parse, choices=tuple(Scheme),
-        default=None, metavar="{rr,sa,auto,none}",
-        help="overwrite-prevention scheme (aliases accepted)",
-    )
-    p_client.add_argument("--no-low-opts", action="store_true")
-    p_client.add_argument("--param-noalias", action="store_true")
-    p_client.add_argument(
-        "--policy", default=None, metavar="POLICY",
-        help="protection policy sent with the compile request",
-    )
-    p_client.add_argument("--no-strict", action="store_true")
-    p_client.add_argument("--block", type=int, default=256,
-                          help="threads per block (storage layout)")
-    p_client.add_argument("--grid", type=int, default=4,
-                          help="number of blocks (storage layout)")
+    _add_config_flags(p_client)
     p_client.add_argument(
         "--json", action="store_true",
         help="print the raw response object(s)",
@@ -1200,11 +1185,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="inspect/clear/gc the on-disk compile cache",
     )
     p_cache.add_argument("action", choices=("stats", "clear", "gc"))
-    p_cache.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="cache directory (default $PENNY_CACHE_DIR or "
-             "~/.cache/penny)",
-    )
+    _add_cache_dir_flag(p_cache, "$PENNY_CACHE_DIR or ~/.cache/penny")
     p_cache.add_argument(
         "--max-bytes", type=int, default=None,
         help="gc: evict least-recently-used entries beyond this size",
@@ -1221,35 +1202,7 @@ def build_parser() -> argparse.ArgumentParser:
              "Chrome trace with a seeded fault recovery",
     )
     p_trace.add_argument("input", help="PTX-subset file, or '-' for stdin")
-    p_trace.add_argument(
-        "--scheme", default=SCHEME_PENNY, choices=_SCHEMES,
-        help="comparison-scheme preset to start from",
-    )
-    p_trace.add_argument(
-        "--pruning", choices=("none", "basic", "optimal"), default=None
-    )
-    p_trace.add_argument(
-        "--storage", choices=("shared", "global", "auto"), default=None
-    )
-    p_trace.add_argument(
-        "--overwrite", type=Scheme.parse, choices=tuple(Scheme),
-        default=None, metavar="{rr,sa,auto,none}",
-        help="overwrite-prevention scheme (aliases accepted)",
-    )
-    p_trace.add_argument("--no-low-opts", action="store_true")
-    p_trace.add_argument("--param-noalias", action="store_true")
-    p_trace.add_argument(
-        "--policy", default=None, metavar="POLICY",
-        help="protection policy (full, address-only, "
-             "top-k-vulnerable[:K], detection-only, none)",
-    )
-    p_trace.add_argument("--no-strict", action="store_true")
-    p_trace.add_argument(
-        "--block", type=int, default=16, help="threads per block"
-    )
-    p_trace.add_argument(
-        "--grid", type=int, default=2, help="number of blocks"
-    )
+    _add_config_flags(p_trace, block=16, grid=2)
     p_trace.add_argument(
         "--words", type=int, default=64,
         help="synthesized buffer length / scalar-param value",
@@ -1341,11 +1294,7 @@ def build_parser() -> argparse.ArgumentParser:
         "-n", "--injections", type=int, default=200,
         help="number of injections (default 200)",
     )
-    p_campaign.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes (default 1 = inline)",
-    )
-    p_campaign.add_argument("--seed", type=int, default=2020)
+    _add_sweep_flags(p_campaign)
     p_campaign.add_argument(
         "--scheme", default=SCHEME_PENNY,
         choices=_SCHEMES + ("none",),
@@ -1397,18 +1346,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="consecutive worker deaths on one injection before it is "
         "quarantined as a worker_crash DUE (default 2)",
     )
-    p_campaign.add_argument(
-        "--chaos", default=None, metavar="SPEC",
-        help="arm a chaos plan for the campaign "
-        "(e.g. 'campaign.worker.kill:p=0.1:max=3,journal.torn:p=0.05')",
-    )
-    p_campaign.add_argument(
-        "--chaos-seed", type=int, default=None,
-        help="seed for the chaos plan's RNG (deterministic injection)",
-    )
-    p_campaign.add_argument(
-        "--json", action="store_true", help="machine-readable output"
-    )
+    _add_chaos_flags(p_campaign, seed=None)
     _add_backend_flag(p_campaign)
     _add_observe_flags(p_campaign)
     p_campaign.set_defaults(func=cmd_campaign)
@@ -1421,11 +1359,7 @@ def build_parser() -> argparse.ArgumentParser:
         "-n", "--iterations", type=int, default=200,
         help="number of fuzz iterations (default 200)",
     )
-    p_fuzz.add_argument("--seed", type=int, default=2020)
-    p_fuzz.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes (default 1 = inline)",
-    )
+    _add_sweep_flags(p_fuzz)
     p_fuzz.add_argument(
         "--scheme", default=SCHEME_PENNY, choices=_SCHEMES,
         help="protection scheme under test",
@@ -1455,9 +1389,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cross-check", action="store_true",
         help="re-run every zero-fault protected execution on the other "
              "backend and flag any divergence as a finding",
-    )
-    p_fuzz.add_argument(
-        "--json", action="store_true", help="machine-readable output"
     )
     _add_backend_flag(p_fuzz)
     _add_observe_flags(p_fuzz)

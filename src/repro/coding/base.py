@@ -56,11 +56,6 @@ class Code:
         """Number of redundant bits added to each data word."""
         return self.n - self.k
 
-    @property
-    def storage_overhead(self) -> float:
-        """Fractional storage overhead relative to the bare data word."""
-        return self.check_bits / self.k
-
     def encode(self, data: int) -> int:
         """Encode ``data`` (must fit in ``k`` bits) into an ``n``-bit word."""
         raise NotImplementedError

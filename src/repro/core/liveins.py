@@ -66,12 +66,6 @@ class LiveinAnalysis:
         least one boundary and defined somewhere)."""
         return set(self.edges)
 
-    def boundaries_using(self, reg: Reg) -> Set[str]:
-        return {b for (_, b) in self.edges.get(reg, set())}
-
-    def lups_of(self, reg: Reg) -> Set[DefSite]:
-        return {lup for (lup, _) in self.edges.get(reg, set())}
-
 
 def analyze_liveins(
     kernel: Kernel,

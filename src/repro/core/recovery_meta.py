@@ -60,9 +60,6 @@ class RecoveryTable:
     #: number of force-committed checkpoints during table construction
     forced_commits: int = 0
 
-    def entry_for(self, boundary: str) -> RegionRecovery:
-        return self.regions[boundary]
-
 
 def build_recovery_table(
     cfg: CFG,

@@ -102,10 +102,6 @@ class StorageAssignment:
     def shared_bytes_per_block(self) -> int:
         return self.shared_slots * self.threads_per_block * 4
 
-    @property
-    def global_bytes(self) -> int:
-        return self.global_slots * self.total_threads * 4
-
 
 def _slot_colors(
     reg: Reg, coloring: Optional[ColoringResult]

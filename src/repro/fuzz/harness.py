@@ -15,7 +15,6 @@ repro check.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
@@ -327,18 +326,3 @@ class FuzzRunner:
                 reduced.kernel_text
             )
             rep.reduced_kernel = reduced.kernel_text
-
-
-def run_fuzz(
-    spec: FuzzSpec,
-    workers: int = 1,
-    journal_path: Optional[str] = None,
-    reduce: bool = False,
-    **kwargs: Any,
-) -> FuzzReport:
-    """Convenience wrapper mirroring :func:`repro.gpusim.campaign.run_campaign`
-    (``kwargs`` pass through to :class:`FuzzRunner` — ``use_threads``,
-    ``wall_timeout``, ``poison_threshold``)."""
-    return FuzzRunner(
-        spec, workers=workers, journal_path=journal_path, **kwargs
-    ).run(reduce=reduce)

@@ -64,10 +64,6 @@ class CaseResult:
     finding: Optional[Finding] = None
     stats: Dict[str, float] = field(default_factory=dict)
 
-    @property
-    def is_finding(self) -> bool:
-        return self.status == "finding"
-
 
 def _reads_uninitialized(kernel) -> bool:
     """True when some path reaches a register read with no prior write

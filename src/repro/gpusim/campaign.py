@@ -58,10 +58,10 @@ Journal format (version 2): line 1 is a header ``{"spec": {...},
 as JSON.  Each line carries a CRC32 trailer (``<json>\\t<8-hex-crc>``)
 so torn or bit-rotted records are *detected*, not silently mis-parsed;
 :func:`fsck_journal` validates checksums and schema, skipping and
-counting corrupt lines.  Version-1 lines (no trailer) are still
-accepted as ``legacy``.  Lines are written append-only and flushed per
-record, so after a crash the journal holds a header plus complete
-records (a torn final line is detected and dropped on resume).
+counting corrupt lines; a line without a trailer is corrupt.  Lines are
+written append-only and flushed per record, so after a crash the
+journal holds a header plus complete records (a torn final line is
+detected and dropped on resume).
 """
 
 from __future__ import annotations
@@ -712,16 +712,12 @@ def _crc_line(payload: str) -> str:
 
 def _parse_journal_line(line: str) -> Tuple[Optional[Dict], str]:
     """One journal line -> ``(object, status)`` where status is ``"ok"``
-    (CRC-verified v2 line), ``"legacy"`` (v1 line, no trailer) or
-    ``"corrupt"`` (bad CRC, bad JSON, or not a record object)."""
-    if "\t" in line:
-        payload, _, trailer = line.rpartition("\t")
-        crc = zlib.crc32(payload.encode("utf-8")) & 0xFFFFFFFF
-        if trailer != f"{crc:08x}":
-            return None, "corrupt"
-        status = "ok"
-    else:
-        payload, status = line, "legacy"
+    (CRC-verified line) or ``"corrupt"`` (missing or bad CRC trailer,
+    bad JSON, or not a record object)."""
+    payload, tab, trailer = line.rpartition("\t")
+    crc = zlib.crc32(payload.encode("utf-8")) & 0xFFFFFFFF
+    if not tab or trailer != f"{crc:08x}":
+        return None, "corrupt"
     try:
         obj = json.loads(payload)
     except json.JSONDecodeError:
@@ -730,7 +726,7 @@ def _parse_journal_line(line: str) -> Tuple[Optional[Dict], str]:
         # A torn fragment can still parse (a bare number, a string):
         # anything but a record object is corrupt.
         return None, "corrupt"
-    return obj, status
+    return obj, "ok"
 
 
 @dataclass
@@ -749,7 +745,6 @@ class JournalFsck:
     total_lines: int = 0
     record_lines: int = 0
     corrupt_lines: int = 0
-    legacy_lines: int = 0
     duplicate_indices: List[int] = field(default_factory=list)
 
     def reconcile(self, expected: Optional[int] = None) -> Dict[str, Any]:
@@ -766,7 +761,6 @@ class JournalFsck:
             "missing": missing,
             "duplicates": list(self.duplicate_indices),
             "corrupt_lines": self.corrupt_lines,
-            "legacy_lines": self.legacy_lines,
             "complete": not missing and not self.duplicate_indices,
         }
 
@@ -780,7 +774,6 @@ class JournalFsck:
             "total_lines": self.total_lines,
             "record_lines": self.record_lines,
             "corrupt_lines": self.corrupt_lines,
-            "legacy_lines": self.legacy_lines,
             "reconciliation": self.reconcile(),
         }
 
@@ -807,8 +800,6 @@ def fsck_journal(path: str) -> JournalFsck:
             if status == "corrupt":
                 fsck.corrupt_lines += 1
                 continue
-            if status == "legacy":
-                fsck.legacy_lines += 1
             if fsck.header is None and "spec" in obj and lineno == 0:
                 fsck.header = obj
                 continue
@@ -816,8 +807,6 @@ def fsck_journal(path: str) -> JournalFsck:
                 rec = InjectionRecord(**obj)
             except TypeError:
                 fsck.corrupt_lines += 1
-                if status == "legacy":
-                    fsck.legacy_lines -= 1
                 continue
             fsck.record_lines += 1
             if (
@@ -1041,11 +1030,16 @@ class ParallelCampaign:
         pre_corrupt = 0
         if self.journal_path and resume:
             fsck = fsck_journal(self.journal_path)
-            header = fsck.header
-            if header is not None and header.get("spec") != self.spec.to_dict():
+            # Records under a corrupt header have an unknown spec: they
+            # may belong to another campaign, so they are not adopted.
+            journal_spec = (fsck.header or {}).get("spec")
+            if (fsck.header or fsck.records) and (
+                journal_spec != self.spec.to_dict()
+            ):
                 raise ValueError(
-                    "journal was written by a different campaign spec; "
-                    "refusing to resume into it"
+                    "journal was written by a different campaign spec "
+                    "(or its header is unreadable); refusing to resume "
+                    "into it"
                 )
             # Drop stray indices beyond this spec (defensive).
             done = {i: r for i, r in fsck.records.items() if 0 <= i < n}

@@ -21,7 +21,6 @@ result; the campaign engine's fast-forward does exactly that.
 from __future__ import annotations
 
 import dataclasses
-import inspect
 import math
 import struct
 from collections import Counter
@@ -66,29 +65,6 @@ def b2f(b: int) -> float:
 def to_signed(b: int) -> int:
     b &= _MASK32
     return b - (1 << 32) if b & (1 << 31) else b
-
-
-def _plan_takes_env(fault_plan) -> bool:
-    """Does this fault plan's ``after_instruction`` take ``(thread, env)``?
-
-    Plans declare their hook surface explicitly via a ``HOOK_API`` class
-    attribute (see :class:`repro.gpusim.faults.FaultPlan`): version >= 2
-    means the widened ``(thread, env)`` signature, version 1 the original
-    ``(thread)`` one.  Third-party plans without the attribute fall back
-    to the historical ``inspect.signature`` arity probe.
-    """
-    if fault_plan is None:
-        return False
-    api = getattr(fault_plan, "HOOK_API", None)
-    if api is not None:
-        return int(api) >= 2
-    try:
-        hook_params = inspect.signature(
-            fault_plan.after_instruction
-        ).parameters
-        return len(hook_params) >= 2
-    except (TypeError, ValueError):
-        return True
 
 
 class SimulationError(RuntimeError):
@@ -414,9 +390,6 @@ class Executor:
         self.max_instructions = max_instructions_per_thread
         self.max_recoveries = max_recoveries_per_thread
         self.fault_plan = fault_plan
-        # Newer plans take (thread, env) so they can strike memory-side
-        # state; plans predating the widened surface take (thread) only.
-        self._plan_takes_env = _plan_takes_env(fault_plan)
         self._block_index = {blk.label: i for i, blk in enumerate(kernel.blocks)}
         self._recovery_runtime = None
         table = kernel.meta.get("recovery_table")
@@ -566,10 +539,7 @@ class Executor:
                 continue
             t.executed += 1
             if self.fault_plan is not None:
-                if self._plan_takes_env:
-                    self.fault_plan.after_instruction(t, env)
-                else:
-                    self.fault_plan.after_instruction(t)
+                self.fault_plan.after_instruction(t, env)
 
     def _enter_block(self, t: ThreadContext, label: str) -> None:
         t.label = label

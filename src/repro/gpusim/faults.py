@@ -119,13 +119,7 @@ def _thread_stream_seed(seed: int, ctaid: int, tid: int) -> int:
 
 @dataclass
 class FaultPlan:
-    """One scheduled register-file injection.
-
-    ``HOOK_API = 2`` declares the widened executor-hook signature
-    ``after_instruction(thread, env)`` (see
-    :func:`repro.gpusim.executor._plan_takes_env`); plans without the
-    attribute are probed by signature for backward compatibility.
-    """
+    """One scheduled register-file injection."""
 
     ctaid: int
     tid: int
@@ -136,8 +130,6 @@ class FaultPlan:
 
     injected: bool = field(default=False, compare=False)
     hit_register: Optional[str] = field(default=None, compare=False)
-
-    HOOK_API = 2
 
     def hook_threads(self) -> Optional[List[Tuple[int, int]]]:
         """The (ctaid, tid) pairs whose hooks can have any effect, or
@@ -184,8 +176,6 @@ class RateFaultPlan:
     bit_range: int = 33
 
     injections: int = field(default=0, compare=False)
-
-    HOOK_API = 2
 
     def __post_init__(self):
         if self.interval < 1:
@@ -259,8 +249,6 @@ class CheckpointFaultPlan:
     injected: bool = field(default=False, compare=False)
     effect: Optional[str] = field(default=None, compare=False)
     hit_slot: Optional[str] = field(default=None, compare=False)
-
-    HOOK_API = 2
 
     def hook_threads(self) -> Optional[List[Tuple[int, int]]]:
         return [(self.ctaid, self.tid)]
@@ -347,8 +335,6 @@ class RecoveryFaultPlan:
 
     strikes: int = field(default=0, compare=False)
 
-    HOOK_API = 2
-
     def __post_init__(self):
         if self.mode not in ("register", "slot"):
             raise ValueError(f"unknown recovery-fault mode {self.mode!r}")
@@ -359,10 +345,6 @@ class RecoveryFaultPlan:
     @property
     def injected(self) -> bool:
         return self.primary.injected
-
-    @property
-    def struck_recovery(self) -> bool:
-        return self.strikes > 0
 
     def after_instruction(self, t: ThreadContext, env=None) -> None:
         self.primary.after_instruction(t, env)
@@ -404,8 +386,6 @@ class ComposedFaultPlan:
     recovery plus the checkpoint-slot fault recovery must then survive)."""
 
     plans: List[object] = field(default_factory=list)
-
-    HOOK_API = 2
 
     def hook_threads(self) -> Optional[List[Tuple[int, int]]]:
         """Union of the children's targets; ``None`` (all threads) as soon

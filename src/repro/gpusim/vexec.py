@@ -60,7 +60,6 @@ from repro.gpusim.executor import (
     _BlockEnv,
     _classify,
     _float_op,
-    _plan_takes_env,
     f2b,
     run_launch,
 )
@@ -449,7 +448,6 @@ class VectorExecutor:
         self.max_instructions = max_instructions_per_thread
         self.max_recoveries = max_recoveries_per_thread
         self.fault_plan = fault_plan
-        self._plan_takes_env = _plan_takes_env(fault_plan)
         self._block_index = {blk.label: i for i, blk in enumerate(kernel.blocks)}
         self.labels = [blk.label for blk in kernel.blocks]
         self._recovery_runtime = None
@@ -755,7 +753,6 @@ class VectorExecutor:
 
     def _fire_hooks(self, state: "_VBlockState", mask: np.ndarray) -> None:
         plan = self.fault_plan
-        takes_env = self._plan_takes_env
         targets = self._hook_targets
         if targets is not None:
             lanes = [
@@ -766,11 +763,7 @@ class VectorExecutor:
         else:
             lanes = np.flatnonzero(mask).tolist()
         for lane in lanes:
-            t = state.lane_view(lane)
-            if takes_env:
-                plan.after_instruction(t, state.env)
-            else:
-                plan.after_instruction(t)
+            plan.after_instruction(state.lane_view(lane), state.env)
 
     def _recover_lanes(self, state, fault: np.ndarray, d) -> None:
         """Per-lane recovery in lane order; recovered lanes re-enter their

@@ -115,12 +115,6 @@ class Kernel:
                 return p
         raise KeyError(f"no param {name!r} in kernel {self.name!r}")
 
-    def shared_decl(self, name: str) -> SharedDecl:
-        for s in self.shared:
-            if s.name == name:
-                return s
-        raise KeyError(f"no shared array {name!r} in kernel {self.name!r}")
-
     # -- iteration -----------------------------------------------------------
 
     def instructions(self) -> Iterable[Tuple[BasicBlock, int, Instruction]]:
@@ -174,9 +168,6 @@ class Kernel:
         blk.instructions = blk.instructions[:index]
         self.blocks.insert(self.block_index(label) + 1, tail)
         return tail
-
-    def insert_block_before(self, label: str, new_block: BasicBlock) -> None:
-        self.blocks.insert(self.block_index(label), new_block)
 
     def validate(self) -> None:
         """Structural sanity checks; raises ValueError on malformed IR."""

@@ -150,7 +150,3 @@ class SrcLoc:
 
 #: Any value-producing operand an instruction may read.
 Operand = Union[Reg, Imm, Special, SymRef]
-
-
-def is_operand(x) -> bool:
-    return isinstance(x, (Reg, Imm, Special, SymRef))

@@ -17,8 +17,8 @@ serving stack so every sweep engine shares one supervision story:
   consecutive-crash strikes with quarantine;
 - :mod:`~repro.runtime.errors` — the typed failure vocabulary
   (:class:`WorkerCrashError`, :class:`PoisonJobError`,
-  :class:`ReconciliationError`) that the serving layer's
-  :mod:`repro.serve.errors` extends with wire-protocol semantics.
+  :class:`ReconciliationError`), which the compile server puts on the
+  wire in the shape of :mod:`repro.serve.errors`.
 
 The design inherits the paper's inject→detect→recover discipline: a
 worker death is *detected* (liveness / heartbeat / deadline),

@@ -2,15 +2,13 @@
 
 These are the engine-agnostic forms of the pool failure modes: a
 campaign, fuzz sweep, or compile farm driving a
-:class:`repro.runtime.pool.WorkerPool` sees exactly these types (or an
-engine-specific subclass — :mod:`repro.serve.errors` derives its wire
-variants from them, so ``except`` clauses written against either
-hierarchy keep working).
+:class:`repro.runtime.pool.WorkerPool` sees exactly these types.
 
 All of them serialize with :meth:`to_dict` in the same
 ``{"type", "message", "detail"}`` shape the serving layer puts on the
 wire, so journal records and job envelopes can carry the *type*, not
-just a message string.
+just a message string; a serve client rebuilds them as the same-named
+:mod:`repro.serve.errors` types.
 """
 
 from __future__ import annotations

@@ -43,12 +43,12 @@ The pool is parameterized for its three tenants:
 - ``chaos_site`` — the :mod:`repro.serve.chaos` site consulted per
   dispatch (``worker.job`` for the compile farm, ``campaign.worker``
   for injection/fuzz sweeps), so each tenant's fault plan addresses its
-  own workers;
-- ``crash_error`` / ``poison_error`` — the exception classes raised on
-  unabsorbed crashes and quarantine.  They default to the runtime's own
-  :class:`~repro.runtime.errors.WorkerCrashError` /
-  :class:`~repro.runtime.errors.PoisonJobError`; the serving layer
-  substitutes its wire-serializable subclasses.
+  own workers.
+
+Unabsorbed crashes and quarantine raise
+:class:`~repro.runtime.errors.WorkerCrashError` /
+:class:`~repro.runtime.errors.PoisonJobError` for every tenant; the
+serving layer puts their ``to_dict()`` on the wire.
 
 Chaos: at every dispatch the supervisor consults
 :func:`repro.serve.chaos.active_chaos` at ``chaos_site``; a firing rule
@@ -117,10 +117,6 @@ class PoolConfig:
     tick: float = 0.02
     #: chaos site consulted once per dispatch
     chaos_site: str = DEFAULT_CHAOS_SITE
-    #: exception class for unabsorbed worker crashes
-    crash_error: type = WorkerCrashError
-    #: exception class for quarantined (poison) jobs
-    poison_error: type = PoisonJobError
 
     def __post_init__(self):
         if self.workers < 1:
@@ -385,20 +381,21 @@ class WorkerPool:
         self, payload: Dict[str, Any], key: Optional[str] = None
     ) -> Future:
         """Queue one job; returns a future resolving to the runner's
-        return value, or raising the configured poison / crash error.
-        ``key`` identifies the job for poison-quarantine purposes (the
-        compile cache digest or the injection index, normally);
-        anonymous jobs still quarantine across their own retries."""
+        return value, or raising :class:`PoisonJobError` /
+        :class:`WorkerCrashError`.  ``key`` identifies the job for
+        poison-quarantine purposes (the compile cache digest or the
+        injection index, normally); anonymous jobs still quarantine
+        across their own retries."""
         future: Future = Future()
         with self._lock:
             if not self._started or self._stopping:
                 future.set_exception(
-                    self.config.crash_error("worker pool is not running")
+                    WorkerCrashError("worker pool is not running")
                 )
                 return future
             if key is not None and key in self._quarantine:
                 future.set_exception(
-                    self.config.poison_error(
+                    PoisonJobError(
                         "job key is quarantined (earlier attempts killed "
                         f"{self.config.poison_threshold} worker(s))",
                         key=key,
@@ -660,7 +657,7 @@ class WorkerPool:
                     self.metrics.quarantined += 1
                     obs.inc("pool.quarantined")
                     job.future.set_exception(
-                        self.config.poison_error(
+                        PoisonJobError(
                             f"job killed {strikes} worker(s) and was "
                             "quarantined",
                             key=job.key,

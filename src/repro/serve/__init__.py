@@ -17,12 +17,11 @@ Four layers turn the one-shot compiler into a serving subsystem:
   deterministic result ordering, per-job typed error capture and cache
   consultation before dispatch.
 
-- **Async server + supervised pool + client**
-  (:mod:`repro.serve.server`, :mod:`repro.serve.pool`,
-  :mod:`repro.serve.client`): ``penny serve`` fronts a *supervised*
-  worker pool — crashed workers restart with backoff, hung workers are
-  reclaimed, poison jobs are quarantined with a typed
-  :class:`PoisonJobError` — behind a bounded queue (typed
+- **Async server + client** (:mod:`repro.serve.server`,
+  :mod:`repro.serve.client`): ``penny serve`` fronts the *supervised*
+  :class:`repro.runtime.WorkerPool` — crashed workers restart with
+  backoff, hung workers are reclaimed, poison jobs are quarantined with
+  a typed :class:`PoisonJobError` — behind a bounded queue (typed
   :class:`ServerBusy` backpressure), with per-cache-key request
   coalescing, per-request timeouts, disconnect cancellation, a
   ``health`` op and graceful SIGTERM drain; ``penny client`` retries
@@ -91,7 +90,6 @@ from repro.serve.key import (
     code_fingerprint,
     compile_cache_key,
 )
-from repro.serve.pool import PoolConfig, PoolMetrics, WorkerPool
 from repro.serve.server import CompileServer, ServeConfig, ServerStats
 
 __all__ = [
@@ -110,13 +108,10 @@ __all__ = [
     "BatchReport",
     "compile_batch",
     "jobs_from_source",
-    # server + pool + client
+    # server + client
     "CompileServer",
     "ServeConfig",
     "ServerStats",
-    "WorkerPool",
-    "PoolConfig",
-    "PoolMetrics",
     "CompileClient",
     "RetryPolicy",
     "CircuitBreaker",

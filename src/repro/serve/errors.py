@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.runtime.errors import PoisonJobError as _RuntimePoisonJobError
-from repro.runtime.errors import WorkerCrashError as _RuntimeWorkerCrashError
 from repro.runtime.errors import _plain
 
 
@@ -68,17 +66,15 @@ class RemoteCompileError(ServeError):
     serialized form (pass name, scheme, kernel snapshot)."""
 
 
-class WorkerCrashError(_RuntimeWorkerCrashError, ServeError):
+class WorkerCrashError(ServeError):
     """A pool worker died (crash, SIGKILL, or a supervisor hang-kill)
     while running the job and the retry budget did not absorb it.
 
-    Subclasses both the runtime's generic
-    :class:`repro.runtime.errors.WorkerCrashError` (so the shared pool
-    and sweep engines catch it generically) and :class:`ServeError` (so
-    it round-trips the wire like every serving failure)."""
+    The client-side form of :class:`repro.runtime.errors.WorkerCrashError`,
+    which the server puts on the wire by its ``to_dict()``."""
 
 
-class PoisonJobError(_RuntimePoisonJobError, ServeError):
+class PoisonJobError(ServeError):
     """A job killed enough consecutive workers to be quarantined.
 
     The supervised pool retries a job whose worker crashed; a job whose
@@ -86,7 +82,7 @@ class PoisonJobError(_RuntimePoisonJobError, ServeError):
     forever.  After ``poison_threshold`` consecutive worker deaths the
     job is failed with this error and its key is quarantined — later
     submissions of the same key fail fast without touching a worker.
-    Dual-inherits like :class:`WorkerCrashError`.
+    The client-side form of :class:`repro.runtime.errors.PoisonJobError`.
     """
 
 

@@ -9,7 +9,7 @@ request/response per connection).  Operations:
 ``health``
     readiness + supervision snapshot: ``ready`` (accepting work),
     draining flag, uptime and the worker pool's
-    :meth:`~repro.serve.pool.WorkerPool.health` (alive/dead workers,
+    :meth:`~repro.runtime.pool.WorkerPool.health` (alive/dead workers,
     restart/quarantine counters).  ``ready`` is an alias.
 ``stats``
     server counters + the cache's :meth:`CompileCache.report` — what CI
@@ -26,7 +26,7 @@ request/response per connection).  Operations:
 Scale and robustness properties:
 
 - compilation runs on a **supervised** worker pool
-  (:class:`repro.serve.pool.WorkerPool`; processes by default, threads
+  (:class:`repro.runtime.pool.WorkerPool`; processes by default, threads
   with ``use_threads=True``, which tests use so they can monkeypatch the
   job runner) behind a **bounded queue**: when ``queue_limit`` requests
   are in flight, further compiles are rejected immediately with a typed
@@ -69,8 +69,8 @@ import json
 import signal
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Tuple, Union
 
 import repro.obs as obs
 from repro.core.pipeline import PennyConfig
@@ -78,16 +78,14 @@ from repro.ir.printer import print_kernel
 from repro.serve.batch import CompileJob, _compile_job
 from repro.serve.cache import DEFAULT_MEMORY_BYTES, CompileCache
 from repro.serve.chaos import SITE_CONN_SEND, active_chaos
+from repro.runtime import PoolConfig, TaskRuntimeError, WorkerPool
 from repro.serve.errors import (
-    PoisonJobError,
     ProtocolError,
     RequestTimeout,
     ServeError,
     ServerBusy,
-    WorkerCrashError,
 )
 from repro.serve.key import compile_cache_key
-from repro.serve.pool import PoolConfig, WorkerPool
 
 
 @dataclass
@@ -210,6 +208,7 @@ class CompileServer:
         cfg = self.config
         self._pool = WorkerPool(
             PoolConfig(
+                runner="repro.serve.server:_execute_request",
                 workers=max(1, cfg.workers),
                 use_threads=cfg.use_threads,
                 job_timeout=cfg.request_timeout + cfg.job_timeout_grace,
@@ -571,7 +570,7 @@ class CompileServer:
             )
         except asyncio.CancelledError:
             raise
-        except (PoisonJobError, WorkerCrashError) as exc:
+        except TaskRuntimeError as exc:  # worker crash or poison job
             self.stats.errors += 1
             obs.inc("serve.pool_failures")
             return _error_response(rid, exc), pipelined
@@ -693,5 +692,7 @@ def _ok_response(
     }
 
 
-def _error_response(rid, error: ServeError) -> Dict[str, Any]:
+def _error_response(
+    rid, error: Union[ServeError, TaskRuntimeError]
+) -> Dict[str, Any]:
     return {"id": rid, "ok": False, "error": error.to_dict()}

@@ -15,6 +15,7 @@ from repro.core.pipeline import LaunchConfig, PennyCompiler, PennyConfig
 from repro.core.schemes import SCHEME_PENNY, scheme_config
 from repro.gpusim import FaultCampaign, FaultOutcome, FaultPlan
 from repro.gpusim.executor import Executor, Launch
+from repro.gpusim.faults import ComposedFaultPlan
 from repro.gpusim.memory import MemoryImage
 
 #: a structurally diverse subset: in-place loops, shared memory + barriers,
@@ -160,18 +161,6 @@ def test_multiple_faults_in_one_run():
         bench.fresh_kernel(), wl.launch_config
     )
 
-    class MultiPlan:
-        def __init__(self, plans):
-            self.plans = plans
-
-        @property
-        def injected(self):
-            return any(p.injected for p in self.plans)
-
-        def after_instruction(self, t):
-            for p in self.plans:
-                p.after_instruction(t)
-
     campaign = FaultCampaign(
         result.kernel, wl.launch, wl.make_memory, wl.output_region()
     )
@@ -182,5 +171,7 @@ def test_multiple_faults_in_one_run():
         FaultPlan(ctaid=0, tid=11, after_instructions=33, bits=(30,), rng_seed=3),
     ]
     mem = wl.make_memory()
-    Executor(result.kernel, fault_plan=MultiPlan(plans)).run(wl.launch, mem)
+    Executor(result.kernel, fault_plan=ComposedFaultPlan(plans=plans)).run(
+        wl.launch, mem
+    )
     assert mem.download(*wl.output_region()) == golden

@@ -4,9 +4,7 @@ Covers :func:`repro.gpusim.make_executor` / :func:`resolve_backend`
 (explicit names, ``auto`` resolution, the ``REPRO_SIM_BACKEND``
 environment override, rejection of unknown names), the
 :class:`ExecutorBackend` protocol, the :func:`repro.simulate` facade,
-the ``backend`` field on :class:`ExecutionResult`, and the fault-plan
-``HOOK_API`` version negotiation (declared version beats the signature
-probe; legacy plans without either still work).
+and the ``backend`` field on :class:`ExecutionResult`.
 """
 
 import pytest
@@ -21,7 +19,7 @@ from repro.gpusim import (
     resolve_backend,
 )
 from repro.gpusim.backend import BACKEND_ENV_VAR
-from repro.gpusim.executor import Launch, _plan_takes_env
+from repro.gpusim.executor import Launch
 from repro.gpusim.faults import FaultPlan
 from repro.gpusim.vexec import VectorExecutor
 from repro.ir.builder import KernelBuilder
@@ -165,58 +163,3 @@ def test_simulate_fault_plan_recovers():
         )
         assert stats.detections == stats.recoveries == 1
         assert mem.download(buf, 32) == [v + 1 for v in range(32)]
-
-
-# -- HOOK_API negotiation ----------------------------------------------------
-
-
-def test_hook_api_version_beats_signature_probe():
-    class Declared:
-        HOOK_API = 2
-
-        def after_instruction(self, thread, env):
-            pass
-
-    assert _plan_takes_env(Declared()) is True
-
-
-def test_hook_api_future_versions_accepted():
-    class Future:
-        HOOK_API = 3
-
-    assert _plan_takes_env(Future()) is True
-
-
-def test_legacy_plan_probed_by_signature():
-    class LegacyOneArg:
-        def after_instruction(self, thread):
-            pass
-
-    class LegacyTwoArg:
-        def after_instruction(self, thread, env):
-            pass
-
-    assert _plan_takes_env(LegacyOneArg()) is False
-    assert _plan_takes_env(LegacyTwoArg()) is True
-
-
-def test_unprobeable_plan_defaults_to_env():
-    class Weird:
-        # builtins have no inspectable signature on some platforms;
-        # simulate that with a C-level callable
-        after_instruction = len
-
-    assert _plan_takes_env(Weird()) in (True, False)  # must not raise
-
-
-def test_shipped_plans_declare_hook_api():
-    from repro.gpusim import faults
-
-    for cls in (
-        faults.FaultPlan,
-        faults.RateFaultPlan,
-        faults.CheckpointFaultPlan,
-        faults.RecoveryFaultPlan,
-        faults.ComposedFaultPlan,
-    ):
-        assert getattr(cls, "HOOK_API", 0) >= 2

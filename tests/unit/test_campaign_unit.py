@@ -10,6 +10,7 @@ from repro.gpusim.campaign import (
     CampaignReport,
     CampaignSpec,
     InjectionRecord,
+    _crc_line,
     load_journal,
     stable_seed,
     wilson_interval,
@@ -166,10 +167,12 @@ class TestJournal:
     def test_load_skips_corrupt_and_torn_lines(self, tmp_path):
         path = tmp_path / "j.jsonl"
         lines = [
-            json.dumps({"spec": {"benchmark": "STC"}, "version": 1}),
-            _rec(0).to_json(),
+            _crc_line(
+                json.dumps({"spec": {"benchmark": "STC"}, "version": 2})
+            ),
+            _crc_line(_rec(0).to_json()),
             "not json at all {{",
-            _rec(1, "recovered").to_json(),
+            _crc_line(_rec(1, "recovered").to_json()),
             '{"index": 2, "outco',  # torn tail from a kill
         ]
         path.write_text("\n".join(lines))

@@ -2,9 +2,12 @@
 and write-fault containment (injected ``journal.torn`` /
 ``journal.enospc`` chaos followed by end-of-run repair)."""
 
+import pytest
+
 from repro.gpusim.campaign import (
     CampaignSpec,
     InjectionRecord,
+    ParallelCampaign,
     _Journal,
     fsck_journal,
 )
@@ -42,7 +45,6 @@ def test_clean_journal_fscks_complete(tmp_path):
     assert fsck.header is not None and fsck.header["version"] == 2
     assert fsck.record_lines == 4
     assert fsck.corrupt_lines == 0
-    assert fsck.legacy_lines == 0
     recon = fsck.reconcile()
     assert recon["complete"] is True
     assert recon["expected"] == 4 and recon["recorded"] == 4
@@ -77,9 +79,28 @@ def test_fsck_to_dict_shape(tmp_path):
     assert d["kind"] == "journal_fsck"
     assert d["version"] == 2
     assert d["reconciliation"]["complete"] is True
-    for key in ("total_lines", "record_lines", "corrupt_lines",
-                "legacy_lines"):
+    for key in ("total_lines", "record_lines", "corrupt_lines"):
         assert isinstance(d[key], int)
+
+
+def test_resume_refuses_records_under_a_corrupt_header(tmp_path):
+    """Records whose header fails its CRC have an unknown spec: resuming
+    must refuse them like a foreign spec's, not adopt them."""
+    path = tmp_path / "foreign.jsonl"
+    seed1 = CampaignSpec(benchmark="STC", num_injections=4, seed=1)
+    ParallelCampaign(seed1, journal_path=str(path)).run()
+    lines = path.read_text().splitlines(keepends=True)
+    header = lines[0].rstrip("\n")
+    flipped = "0" if header[-1] != "0" else "1"
+    path.write_text(header[:-1] + flipped + "\n" + "".join(lines[1:]))
+
+    fsck = fsck_journal(str(path))
+    assert fsck.header is None and fsck.corrupt_lines == 1
+    assert sorted(fsck.records) == [0, 1, 2, 3]
+    for seed in (1, 2):
+        spec = CampaignSpec(benchmark="STC", num_injections=4, seed=seed)
+        with pytest.raises(ValueError, match="different campaign spec"):
+            ParallelCampaign(spec, journal_path=str(path)).run(resume=True)
 
 
 # -- write-fault containment ------------------------------------------------------

@@ -7,11 +7,11 @@ the torn file must terminate the fragment so resumed records do not
 merge into it.  The main test truncates at *every* byte offset of the
 final record.
 
-Since journal v2 every line carries a ``\\t<crc32>`` trailer, so a torn
-fragment survives at exactly two offsets: the cut that drops only the
-trailing newline (the CRC line is whole) and the cut that lands exactly
-between payload and trailer (the bare JSON payload is accepted as a
-legacy v1 line).  Every other prefix fails the checksum or the schema.
+Every line carries a ``\\t<crc32>`` trailer, so a torn fragment
+survives at exactly one offset: the cut that drops only the trailing
+newline (the CRC line is whole).  Every other prefix — including the
+whole JSON payload cut at the tab, which has no checksum — fails the
+checksum or the schema, and is re-run on resume.
 """
 
 import json
@@ -19,9 +19,11 @@ import json
 from repro.gpusim.campaign import (
     CampaignSpec,
     InjectionRecord,
+    ParallelCampaign,
     _crc_line,
     _Journal,
     _parse_journal_line,
+    fsck_journal,
     load_journal,
 )
 
@@ -92,22 +94,19 @@ def test_truncation_at_every_byte_of_the_final_record(tmp_path):
         assert sorted(loaded) == expected, f"cut at byte {cut}"
         for i in (0, 1, 2):
             assert loaded[i] == records[i], f"cut at byte {cut}"
-    # Sanity: the whole-record offsets are exactly the payload/trailer
-    # boundary (legacy acceptance, with or without the dangling tab —
-    # line stripping eats it) and the newline-only truncation, so the
-    # loop above really covered both branches.
+    # Sanity: the only whole-record offset is the newline-only
+    # truncation, so the loop above really covered both branches.
     whole = [
         cut
         for cut in range(len(final_line))
         if _fragment_is_whole(final_line[:cut])
     ]
-    n = len(payload.encode())
-    assert whole == [n, n + 1, len(final_line) - 1]
+    assert whole == [len(final_line) - 1]
 
 
 def test_crc_catches_bitrot_legacy_parsing_would_accept(tmp_path):
-    """The v1 loader accepted any line that parsed as record JSON; the
-    CRC trailer rejects a line whose payload was altered after write."""
+    """A line whose payload was altered after write still parses as
+    record JSON; the CRC trailer rejects it."""
     spec = _spec(1)
     record = _records(1)[0]
     path = tmp_path / "rot.jsonl"
@@ -154,31 +153,54 @@ def test_append_resume_after_every_truncation_completes_the_set(tmp_path):
 
 
 def test_garbage_lines_are_skipped_not_fatal(tmp_path):
-    """Non-object JSON, binary noise and half-written headers are all
-    skipped: recovery never throws on journal content.  CRC-less record
-    lines (a v1 journal) still load, tagged legacy."""
+    """Non-object JSON, binary noise, wrong shapes and CRC-less lines are
+    all skipped: recovery never throws on journal content."""
     path = tmp_path / "garbage.jsonl"
     good = _records(2)
     lines = [
-        json.dumps({"spec": _spec().to_dict(), "version": 1}),
-        "12345",  # parses, but is not a record object
-        '"just a string"',
-        good[0].to_json(),  # v1-style line, no trailer
-        "{\"index\": 9, \"unknown_field\": true}",  # wrong shape
+        _crc_line(json.dumps({"spec": _spec().to_dict(), "version": 2})),
+        _crc_line("12345"),  # parses, but is not a record object
+        _crc_line('"just a string"'),
+        good[0].to_json(),  # whole record JSON, but no trailer
+        _crc_line("{\"index\": 9, \"unknown_field\": true}"),  # shape
         "\xff\xfe binary noise",
-        _crc_line(good[1].to_json()),  # v2-style line
+        _crc_line(good[1].to_json()),
     ]
     path.write_text("\n".join(lines) + "\n", errors="replace")
-    header, loaded = load_journal(str(path))
-    assert header is not None
-    assert sorted(loaded) == [0, 1]
+    fsck = fsck_journal(str(path))
+    assert fsck.header is not None
+    assert sorted(fsck.records) == [1]
+    assert fsck.corrupt_lines == 5
 
 
 def test_first_line_non_dict_is_not_a_header_crash(tmp_path):
     """A journal whose first line tore down to a bare JSON scalar used
     to raise TypeError on the header check; it must load as empty."""
     path = tmp_path / "scalar-head.jsonl"
-    path.write_text("7\n" + _records(1)[0].to_json() + "\n")
+    path.write_text(
+        _crc_line("7") + "\n" + _crc_line(_records(1)[0].to_json()) + "\n"
+    )
     header, loaded = load_journal(str(path))
     assert header is None
     assert sorted(loaded) == [0]
+
+
+def test_crc_less_record_line_is_corrupt_and_rerun_on_resume(tmp_path):
+    """A record line without its trailer has no checksum to trust: fsck
+    counts it corrupt, and ``--resume`` re-runs its index to the record
+    an uninterrupted campaign writes."""
+    spec = CampaignSpec(benchmark="STC", num_injections=4, seed=3)
+    path = tmp_path / "journal.jsonl"
+    clean = ParallelCampaign(spec, journal_path=str(path)).run()
+    lines = path.read_text().splitlines()
+    payload, _, _ = lines[2].rpartition("\t")
+    stripped = json.loads(payload)["index"]
+    lines[2] = payload
+    path.write_text("\n".join(lines) + "\n")
+
+    fsck = fsck_journal(str(path))
+    assert fsck.corrupt_lines == 1
+    assert stripped not in fsck.records and len(fsck.records) == 3
+    resumed = ParallelCampaign(spec, journal_path=str(path)).run(resume=True)
+    assert resumed.records == clean.records
+    assert fsck_journal(str(path)).reconcile()["complete"] is True

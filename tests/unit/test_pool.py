@@ -14,8 +14,12 @@ import types
 
 import pytest
 
-from repro.serve.errors import PoisonJobError, WorkerCrashError
-from repro.serve.pool import PoolConfig, WorkerPool
+from repro.runtime import (
+    PoisonJobError,
+    PoolConfig,
+    WorkerCrashError,
+    WorkerPool,
+)
 
 # -- the test runner (importable from forked workers) -----------------------------
 

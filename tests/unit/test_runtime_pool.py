@@ -1,12 +1,9 @@
-"""The shared task runtime (:mod:`repro.runtime`): error-class
-parameterization, the serve shim's dual-inheritance contract, the
-``imap_supervised`` windowed iterator, and the campaign-side chaos
-vocabulary.
+"""The shared task runtime (:mod:`repro.runtime`): the config
+contract, the wire form of its errors, the ``imap_supervised`` windowed
+iterator, and the campaign-side chaos vocabulary.
 
 Everything supervisor-shaped (crash recovery, backoff, hang reclaim) is
-covered by ``test_pool.py`` through the serve shim — the pool under test
-there *is* ``repro.runtime.pool``.  These tests pin down what the
-refactor added.
+covered by ``test_pool.py``.
 """
 
 import os
@@ -72,36 +69,10 @@ def test_default_chaos_site_is_the_serve_one():
     assert cfg.chaos_site == DEFAULT_CHAOS_SITE == "worker.job"
 
 
-def test_error_classes_are_parameterized():
-    """A client that brings its own error types gets them back from the
-    pool instead of the runtime defaults."""
-
-    class MyCrash(WorkerCrashError):
-        pass
-
-    class MyPoison(PoisonJobError):
-        pass
-
-    with _pool(
-        workers=1,
-        use_threads=False,  # a SIGKILL "crash" in thread mode kills us
-        poison_threshold=1,
-        crash_error=MyCrash,
-        poison_error=MyPoison,
-    ) as pool:
-        future = pool.submit({"action": "crash"}, key="bad")
-        with pytest.raises(MyPoison):
-            future.result(timeout=30)
-    # Shutdown-time submission failures use the crash class.
-    with pytest.raises(MyCrash):
-        pool.submit({"x": 1}, key="late").result(timeout=1)
-
-
-def test_serve_errors_are_both_runtime_and_serve_typed():
-    """The serve shim's errors keep their wire shape (ServeError
-    ``to_dict`` / ``error_from_dict`` round trip) while being catchable
-    as runtime errors — campaign code and serve code can share the pool
-    without sharing an error vocabulary."""
+def test_runtime_errors_revive_as_serve_errors():
+    """The pool raises runtime errors; the server puts their ``to_dict``
+    on the wire, and the client's ``error_from_dict`` rebuilds them as
+    the same-named :class:`ServeError` types."""
     from repro.serve.errors import (
         PoisonJobError as ServePoison,
         ServeError,
@@ -109,18 +80,24 @@ def test_serve_errors_are_both_runtime_and_serve_typed():
         error_from_dict,
     )
 
-    err = ServeCrash("worker 3 died", slot=3, cause="crash")
-    assert isinstance(err, TaskRuntimeError)
-    assert isinstance(err, WorkerCrashError)
-    assert isinstance(err, ServeError)
-    wire = err.to_dict()
-    assert wire["type"] == "WorkerCrashError"
-    assert wire["detail"] == {"slot": 3, "cause": "crash"}
-    revived = error_from_dict(wire)
-    assert isinstance(revived, ServeCrash)
-    assert revived.message == "worker 3 died"
-    assert issubclass(ServePoison, PoisonJobError)
-    assert issubclass(ServePoison, ServeError)
+    for err, serve_cls in (
+        (WorkerCrashError("worker 3 died", slot=3, cause="crash"),
+         ServeCrash),
+        (PoisonJobError("job quarantined", slot=3, cause="crash"),
+         ServePoison),
+    ):
+        assert isinstance(err, TaskRuntimeError)
+        assert not isinstance(err, ServeError)
+        wire = err.to_dict()
+        assert wire["type"] == serve_cls.__name__
+        assert wire["detail"] == {"slot": 3, "cause": "crash"}
+        revived = error_from_dict(wire)
+        assert type(revived) is serve_cls
+        assert isinstance(revived, ServeError)
+        assert not isinstance(revived, TaskRuntimeError)
+        assert revived.message == err.message
+        assert revived.detail == wire["detail"]
+        assert revived.to_dict() == wire
 
 
 # -- imap_supervised --------------------------------------------------------------
