@@ -34,9 +34,14 @@ assumptions:
   the golden run's: the rest of the launch is the golden run's, and
   its statistics complete the result.  Both are exact (records equal a
   full simulation's) and skipped only when every golden lane fits the
-  watchdog budget, since a full run would time out in any CTA.  The
-  ambient tracer counts ``campaign.ctas_skipped`` and
-  ``campaign.early_exits``; records do not.
+  watchdog budget, since a full run would time out in any CTA.
+  Likewise, a plain ``rf`` strike that flips a register dead at the
+  struck lane's next pc (:class:`repro.analysis.liveness.Liveness` of
+  the compiled kernel) stops the injection at once: parity fires only on
+  a read and none comes before a redefinition, so the rest of the launch
+  is the golden run's and the record takes its final result.  The
+  ambient tracer counts ``campaign.ctas_skipped``,
+  ``campaign.early_exits`` and ``campaign.dead_exits``; records do not.
 
 - **Supervision.**  A worker that segfaults, is OOM-killed, or hangs
   past the wall-clock deadline (``wall_timeout`` — distinct from the
@@ -81,9 +86,16 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import repro.obs as obs
+from repro.analysis.cfg import CFG
+from repro.analysis.liveness import Liveness
 from repro.obs.metrics import Counters
 from repro.gpusim.backend import make_executor
-from repro.gpusim.executor import ExecutionResult, SimulationError, run_launch
+from repro.gpusim.executor import (
+    ExecutionResult,
+    SimulationError,
+    _publish_counters,
+    run_launch,
+)
 from repro.gpusim.faults import (
     CheckpointFaultPlan,
     ComposedFaultPlan,
@@ -94,6 +106,7 @@ from repro.gpusim.faults import (
     classify_due,
 )
 from repro.gpusim.memory import MemoryError32, MemoryImage
+from repro.ir.types import Reg
 from repro.runtime.errors import (
     PoisonJobError,
     ReconciliationError,
@@ -398,6 +411,32 @@ def _code_factory(name: str):
     raise ValueError(f"unknown rf code {name!r}")
 
 
+class _DeadStrike(Exception):
+    """A strike hit a dead register.  Not a :class:`SimulationError` or a
+    :class:`MemoryError32`, so it never reads as a DUE."""
+
+
+class _DeadStrikeExit:
+    """A plain ``rf`` :class:`FaultPlan` that ends the run with
+    :class:`_DeadStrike` right after it flips a register ``is_dead(t,
+    reg)`` calls dead at the struck thread's next pc."""
+
+    def __init__(self, plan: FaultPlan, is_dead):
+        self.plan = plan
+        self.is_dead = is_dead
+
+    def hook_threads(self):
+        return self.plan.hook_threads()
+
+    def after_instruction(self, t, env=None) -> None:
+        plan = self.plan
+        if plan.injected:
+            return
+        plan.after_instruction(t, env)
+        if plan.injected and self.is_dead(t, plan.hit_register):
+            raise _DeadStrike
+
+
 class _CampaignState:
     """Compiled kernel + golden profile, built once per process."""
 
@@ -421,6 +460,18 @@ class _CampaignState:
                 .kernel
             )
         self.kernel = kernel
+        # Registers live before each instruction of each block, and each
+        # block's fall-through, for the dead-strike exit.  Built before
+        # the golden run: built after it, these long-lived objects raise
+        # the campaign workload's peak RSS by ~0.9 MB.
+        liveness = Liveness(CFG(kernel))
+        blocks = kernel.blocks
+        self.live_points = {
+            blk.label: liveness.live_points(blk.label) for blk in blocks
+        }
+        self.fall_through = {
+            blk.label: nxt.label for blk, nxt in zip(blocks, blocks[1:])
+        }
         self.storage = kernel.meta.get("storage_assignment")
         self.code_factory = _code_factory(spec.rf_code)
         code = self.code_factory()
@@ -465,6 +516,21 @@ class _CampaignState:
     def _keep_boundary(self, ctaid: int, mem: MemoryImage, result) -> bool:
         self.boundaries.append((mem.clone(), result.clone()))
         return False
+
+    def dead_at_next_pc(self, t, reg: str) -> bool:
+        """Is register ``reg`` dead where thread ``t`` goes next?  ``t`` is
+        a thread just past an instruction: ``label``/``index`` is its next
+        pc, and a retired thread (``done``) has nothing live.  An index
+        past the block's end is the next block's entry, and a label the
+        solver never reached counts as live."""
+        if t.done:
+            return True
+        label, index = t.label, t.index
+        points = self.live_points.get(label)
+        if points is not None and index == len(points) - 1:
+            points = self.live_points.get(self.fall_through.get(label))
+            index = 0
+        return points is not None and Reg(reg) not in points[index]
 
     # -- deterministic plan construction --
 
@@ -561,13 +627,19 @@ class _CampaignState:
 
     def run_index(self, index: int) -> InjectionRecord:
         surface, seed, plan = self.plan_for_index(index)
+        # Dead-strike exit: a plain rf strike on a register dead at the
+        # next pc is never read, so from there on the run is golden's.
+        # Under the budget guard only, like fast-forward.
+        hooked = plan
+        if type(plan) is FaultPlan and self.fast_forward:
+            hooked = _DeadStrikeExit(plan, self.dead_at_next_pc)
         executor = make_executor(
             self.kernel,
             backend=self.spec.backend,
             rf_code_factory=self.code_factory,
             max_instructions_per_thread=self.spec.max_instructions,
             max_recoveries_per_thread=self.spec.max_recoveries,
-            fault_plan=plan,
+            fault_plan=hooked,
         )
         # Fast-forward: CTAs before the first target run exactly as in
         # the golden run, so resume from its state at that boundary.
@@ -594,16 +666,24 @@ class _CampaignState:
         # end-of-run dump and recovery histograms land in a fresh registry
         # whose snapshot rides on the record across the process boundary.
         injection_obs = obs.Tracer(record_spans=False)
+        dead = False
         try:
             with injection_obs:
-                result = run_launch(
-                    executor,
-                    self.wl.launch,
-                    mem,
-                    start=first,
-                    result=partial,
-                    before_cta=exit_early,
-                )
+                try:
+                    result = run_launch(
+                        executor,
+                        self.wl.launch,
+                        mem,
+                        start=first,
+                        result=partial,
+                        before_cta=exit_early,
+                    )
+                except _DeadStrike:
+                    # Golden's final result, with its sim.* counters
+                    # published once, as an early exit completes a run.
+                    result = self.boundaries[grid][1].clone()
+                    _publish_counters(result)
+                    dead = True
         except (SimulationError, MemoryError32) as exc:
             injection_obs.counters.inc(f"campaign.due.{classify_due(exc).value}")
             return InjectionRecord(
@@ -618,7 +698,11 @@ class _CampaignState:
                 detail=str(exc),
                 counters=injection_obs.counters.to_dict(),
             )
-        if exited_at < grid:
+        if dead:
+            obs.inc("campaign.dead_exits")
+            obs.inc("campaign.ctas_skipped", grid - 1 - first)
+            output = self.golden
+        elif exited_at < grid:
             obs.inc("campaign.early_exits")
             obs.inc("campaign.ctas_skipped", grid - exited_at)
             output = self.golden

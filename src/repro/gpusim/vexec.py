@@ -342,7 +342,11 @@ class _LaneView:
     The recovery runtime, the fault plans and ``slot_location`` only read
     ``tid``/``ctaid``/``rf``/``local``/``executed``/``region_label`` and
     bump ``recoveries`` — these properties bridge them onto the lane
-    arrays so all three work untouched (and therefore bit-identically)."""
+    arrays so all three work untouched (and therefore bit-identically).
+    A fault hook also sees the lane's pc after the instruction it fires
+    for, as a :class:`ThreadContext` holds it: ``label``/``index`` (a
+    taken branch gives the target at index 0, a retired lane stays at its
+    ``ret``) and ``done``."""
 
     __slots__ = ("state", "lane", "rf", "ctaid")
 
@@ -375,6 +379,26 @@ class _LaneView:
     @property
     def region_label(self) -> str:
         return self.state.labels[self.state.region_block[self.lane]]
+
+    def _next_pc(self) -> Tuple[int, int, bool]:
+        b, i, target, jumped, retired = self.state.step
+        if jumped is not None and jumped[self.lane]:
+            return target, 0, False
+        if retired is not None and retired[self.lane]:
+            return b, i, True
+        return b, i + 1, False
+
+    @property
+    def label(self) -> str:
+        return self.state.labels[self._next_pc()[0]]
+
+    @property
+    def index(self) -> int:
+        return self._next_pc()[1]
+
+    @property
+    def done(self) -> bool:
+        return self._next_pc()[2]
 
 
 # -- decoded instruction records ----------------------------------------------------
@@ -733,6 +757,14 @@ class VectorExecutor:
         if completed is not None and completed.any():
             state.executed[completed] += 1
             if self.fault_plan is not None:
+                # What the hooks' lane views derive each lane's next pc from.
+                state.step = (
+                    b,
+                    i,
+                    jump_target,
+                    jump_mask,
+                    on if d.kind == K_RET else None,
+                )
                 self._fire_hooks(state, completed)
 
         if fault is not None and fault.any():
@@ -1008,6 +1040,10 @@ class _VBlockState:
         self._lane_views: Dict[int, _LaneView] = {}
         self._specials: Dict[str, object] = {}
         self.fault_reg: List[Optional[str]] = [None] * lanes
+        #: the instruction the fault hooks fire for: its ``(block, index)``,
+        #: the branch target and mask of the lanes that took it, and the
+        #: mask of the lanes it retired
+        self.step: Optional[tuple] = None
 
     def lane_view(self, lane: int) -> _LaneView:
         view = self._lane_views.get(lane)

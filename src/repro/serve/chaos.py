@@ -226,11 +226,11 @@ class ChaosPlan:
             rules=tuple(
                 ChaosRule.from_dict(r) for r in d.get("rules", ())
             ),
-            seed=int(d.get("seed", 0)),
+            seed=int(d.get("seed") or 0),
         )
 
     @classmethod
-    def parse(cls, spec: str, seed: int = 0) -> "ChaosPlan":
+    def parse(cls, spec: str, seed: Optional[int] = None) -> "ChaosPlan":
         """Build a plan from the compact CLI form.
 
         ``spec`` is comma-separated rules; each rule is a kind followed by
@@ -240,14 +240,16 @@ class ChaosPlan:
             worker.kill:p=0.25:max=3,cache.corrupt:p=0.5,worker.hang:delay=2
 
         A spec starting with ``@`` names a JSON file holding the
-        :meth:`to_dict` form (the seed argument still wins if the file
-        omits one).
+        :meth:`to_dict` form.  A file keeps its own seed; ``seed`` is the
+        seed of a compact spec, or of a file whose seed is missing or
+        null, and ``None`` means 0 there.
         """
         spec = spec.strip()
         if spec.startswith("@"):
             with open(spec[1:]) as f:
                 d = json.load(f)
-            d.setdefault("seed", seed)
+            if d.get("seed") is None:
+                d["seed"] = seed
             return cls.from_dict(d)
         rules: List[ChaosRule] = []
         for part in spec.split(","):
@@ -280,7 +282,7 @@ class ChaosPlan:
             rules.append(ChaosRule(**kwargs))
         if not rules:
             raise ValueError("empty chaos spec")
-        return cls(rules=tuple(rules), seed=seed)
+        return cls(rules=tuple(rules), seed=seed or 0)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from repro.gpusim.faults import (
     RecoveryFaultPlan,
     classify_due,
 )
+from repro.ir.instructions import Bar, Bra, Ret
 
 ABBRS = [b.abbr for b in ALL_BENCHMARKS]
 
@@ -183,3 +184,73 @@ def test_rate_plan_due_class(abbr):
     else:
         assert out_s[0] == out_v[0] == "due"
         assert out_s[1] == out_v[1]
+
+
+class _PcRecorder:
+    """A plan that only records, for each target lane, the ``(executed,
+    label, index, done)`` a hook sees after each of its instructions."""
+
+    def __init__(self, targets):
+        self.traces = {key: [] for key in targets}
+
+    def hook_threads(self):
+        return list(self.traces)
+
+    def after_instruction(self, t, env=None):
+        trace = self.traces.get((t.ctaid, t.tid))
+        if trace is not None:
+            trace.append((t.executed, t.label, t.index, t.done))
+
+
+def _executed(kernel, trace):
+    """The instruction each hook call of ``trace`` fired for: the one at
+    the pc the previous call saw (the entry for the first), an index
+    past a block's end being the next block's entry."""
+    labels = [blk.label for blk in kernel.blocks]
+    blocks = {blk.label: blk.instructions for blk in kernel.blocks}
+    label, index = labels[0], 0
+    for _, next_label, next_index, _ in trace:
+        while index == len(blocks[label]):
+            label, index = labels[labels.index(label) + 1], 0
+        yield blocks[label][index]
+        label, index = next_label, next_index
+
+
+@pytest.mark.parametrize("abbr", ("HS", "GAU", "STC"))
+def test_hooks_see_the_same_next_pc(abbr):
+    """Each lane's post-instruction pc, as a fault hook reads it, is the
+    same under both engines: across taken guarded branches, barriers and
+    the final ``ret``."""
+    bench = get_benchmark(abbr)
+    wl = bench.workload()
+    kernel = PennyCompiler(scheme_config(SCHEME_PENNY)).compile(
+        bench.fresh_kernel(), wl.launch_config
+    ).kernel
+    last = wl.launch.block - 1
+    targets = [(0, 0), (0, 5), (wl.launch.grid - 1, last)]
+    traces = {}
+    for backend in ("scalar", "vector"):
+        plan = _PcRecorder(targets)
+        make_executor(kernel, backend=backend, fault_plan=plan).run(
+            wl.launch, wl.make_memory()
+        )
+        traces[backend] = plan.traces
+    assert traces["scalar"] == traces["vector"]
+
+    insts = [i for blk in kernel.blocks for i in blk.instructions]
+    for trace in traces["vector"].values():
+        seen = list(zip(_executed(kernel, trace), trace))
+        assert [n for _, (n, _, _, _) in seen] == list(
+            range(1, len(trace) + 1)
+        )
+        inst, (_, _, _, done) = seen[-1]
+        assert isinstance(inst, Ret) and done
+        if any(isinstance(i, Bar) for i in insts):
+            assert any(isinstance(i, Bar) for i, _ in seen)
+        if any(isinstance(i, Bra) and i.guard is not None for i in insts):
+            assert any(
+                isinstance(i, Bra)
+                and i.guard is not None
+                and (label, index) == (i.target, 0)
+                for i, (_, label, index, _) in seen
+            )

@@ -118,17 +118,23 @@ class TestCampaignCounters:
     def test_skipped_work_is_counted_outside_the_records(
         self, campaign_spec, serial_report
     ):
-        """Fast-forward and early exit report on the ambient tracer; the
-        records, which carry per-injection snapshots, stay as they are."""
+        """Fast-forward, early exits and dead-strike exits report on the
+        ambient tracer; the records, which carry per-injection snapshots,
+        stay as they are."""
         with obs.Tracer(record_spans=False) as tracer:
             traced = ParallelCampaign(campaign_spec, workers=1).run()
         counts = tracer.counters.counts
         assert counts["campaign.ctas_skipped"] >= counts["campaign.early_exits"] > 0
+        assert counts["campaign.dead_exits"] > 0
         assert traced.records == serial_report.records
         for record in traced.records:
             assert not any(
                 name in record.counters["counters"]
-                for name in ("campaign.ctas_skipped", "campaign.early_exits")
+                for name in (
+                    "campaign.ctas_skipped",
+                    "campaign.early_exits",
+                    "campaign.dead_exits",
+                )
             )
 
     def test_shard_merge_equals_serial(self, campaign_spec, serial_report):

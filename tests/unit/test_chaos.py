@@ -3,12 +3,14 @@ knobs, and the no-chaos discipline (an uninstalled engine costs one
 context-var read and changes nothing).
 """
 
+import argparse
 import json
 import pickle
 import time
 
 import pytest
 
+from repro import cli
 from repro.core.pipeline import PennyConfig
 from repro.serve.cache import CompileCache
 from repro.serve.chaos import (
@@ -66,6 +68,32 @@ def test_plan_round_trips_through_dict_and_file(tmp_path):
     path = tmp_path / "plan.json"
     path.write_text(json.dumps(plan.to_dict()))
     assert ChaosPlan.parse(f"@{path}") == plan
+
+
+def test_unseeded_plans_round_trip(tmp_path):
+    """Without a seed, a compact spec gets seed 0 and a file keeps its
+    own (0 when missing or null), so every plan saves and reloads."""
+    plan = ChaosPlan.parse("campaign.worker.kill:p=0.5", seed=None)
+    assert plan.seed == 0
+    assert ChaosPlan.from_dict(plan.to_dict()) == plan
+    for saved in ({}, {"seed": None}, {"seed": 9}):
+        path = tmp_path / "plan.json"
+        path.write_text(
+            json.dumps({"rules": [{"kind": "worker.kill"}], **saved})
+        )
+        loaded = ChaosPlan.parse(f"@{path}", seed=None)
+        assert loaded.seed == (saved.get("seed") or 0)
+        assert ChaosPlan.from_dict(loaded.to_dict()) == loaded
+
+
+def test_unseeded_plan_is_armed_with_an_integer_seed(capsys):
+    """``penny campaign --chaos SPEC`` without ``--chaos-seed``."""
+    args = argparse.Namespace(
+        chaos="campaign.worker.kill:p=0.5", chaos_seed=None
+    )
+    with cli._chaos(args, "penny campaign"):
+        pass
+    assert "chaos plan armed (1 rule(s), seed 0)" in capsys.readouterr().err
 
 
 def test_every_kind_maps_to_a_site():
