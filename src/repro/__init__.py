@@ -55,8 +55,9 @@ from repro.core.schemes import (
     scheme_config,
 )
 from repro.gpusim.backend import make_executor
+from repro.gpusim.campaign import FaultCampaign
 from repro.gpusim.executor import ExecutionResult, Executor, Launch
-from repro.gpusim.faults import FaultCampaign, FaultOutcome, FaultPlan
+from repro.gpusim.faults import FaultOutcome, FaultPlan
 from repro.gpusim.memory import MemoryImage
 from repro.ir.builder import KernelBuilder
 from repro.ir.module import Kernel

@@ -17,10 +17,8 @@ from typing import Dict, List
 from repro.bench import get_benchmark
 from repro.core.pipeline import PennyCompiler
 from repro.core.schemes import SCHEME_PENNY, scheme_config
-from repro.gpusim.backend import make_executor
-from repro.gpusim.executor import SimulationError
-from repro.gpusim.faults import RateFaultPlan, classify_due
-from repro.gpusim.memory import MemoryError32
+from repro.gpusim.campaign import FaultCampaign
+from repro.gpusim.faults import FaultOutcome, RateFaultPlan
 
 INTERVALS = (10_000, 1_000, 200, 50)
 
@@ -45,44 +43,35 @@ def run(
         bench.fresh_kernel(), wl.launch_config
     )
 
-    mem, _, out = wl.make()
-    golden_exec = make_executor(result.kernel).run(wl.launch, mem)
-    golden = mem.download(*out)
-    base_insts = golden_exec.instructions
+    campaign = FaultCampaign(
+        result.kernel,
+        wl.launch,
+        wl.make_memory,
+        wl.output_region(),
+        max_instructions_per_thread=20_000_000,
+        max_recoveries_per_thread=100_000,
+    )
+    # the golden run's final result
+    base_insts = campaign.boundaries[-1][1].instructions
 
     rows = []
     for interval in intervals:
         plan = RateFaultPlan(interval=interval, seed=seed)
         row = None
         for _ in range(max(1, repeats)):
-            mem2 = wl.make_memory()
-            executor = make_executor(
-                result.kernel,
-                fault_plan=plan,
-                max_recoveries_per_thread=100_000,
-                max_instructions_per_thread=20_000_000,
-            )
-            try:
-                stats = executor.run(wl.launch, mem2)
-            except (SimulationError, MemoryError32) as exc:
-                this = {
-                    "interval": interval,
-                    "injections": plan.injections,
-                    "recoveries": -1,
-                    "inflation": float("inf"),
-                    "correct": False,
-                    "due": classify_due(exc).value,
-                }
-            else:
-                output = mem2.download(*out)
-                this = {
-                    "interval": interval,
-                    "injections": plan.injections,
-                    "recoveries": stats.recoveries,
-                    "inflation": stats.instructions / base_insts,
-                    "correct": output == golden,
-                    "due": None,
-                }
+            record = campaign.run_one(plan)
+            outcome = FaultOutcome(record.outcome)
+            due = outcome is FaultOutcome.DUE
+            this = {
+                "interval": interval,
+                "injections": plan.injections,
+                "recoveries": record.recoveries,
+                "inflation": (
+                    float("inf") if due else record.instructions / base_insts
+                ),
+                "correct": outcome not in (FaultOutcome.SDC, FaultOutcome.DUE),
+                "due": record.due_cause,
+            }
             if row is not None and this != row:
                 raise AssertionError(
                     f"plan reuse diverged at interval {interval}: "

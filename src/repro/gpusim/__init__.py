@@ -13,9 +13,11 @@ A functional SIMT interpreter for the PTX-subset IR with:
   checkpoint storage or recovery slices, and re-executes the region,
 - a fault injector with three surfaces — register bits at chosen dynamic
   points, checkpoint slots in shared/global memory under a SECDED
-  correct-or-escalate model, and strikes during recovery itself — plus a
-  parallel, journaled campaign engine with a DUE taxonomy
-  (:mod:`repro.gpusim.campaign`),
+  correct-or-escalate model, and strikes during recovery itself — and
+  one campaign engine (:mod:`repro.gpusim.campaign`): a
+  :class:`FaultCampaign` runs and classifies single injections with a
+  DUE taxonomy, and a parallel, journaled sweep runs a campaign spec on
+  it,
 - an analytic timing model (occupancy + latency hiding) and an RF energy
   model (GPUWattch stand-in) fed by the interpreter's dynamic counts.
 
@@ -47,7 +49,6 @@ from repro.gpusim.faults import (
     CheckpointFaultPlan,
     ComposedFaultPlan,
     DueType,
-    FaultCampaign,
     FaultOutcome,
     FaultPlan,
     RateFaultPlan,
@@ -57,6 +58,7 @@ from repro.gpusim.faults import (
 from repro.gpusim.campaign import (
     CampaignReport,
     CampaignSpec,
+    FaultCampaign,
     InjectionRecord,
     JournalFsck,
     ParallelCampaign,

@@ -1,11 +1,14 @@
-"""Hardened, parallel fault-injection campaign engine.
+"""The fault-injection campaign engine.
 
-The original :class:`repro.gpusim.faults.FaultCampaign` injects only into
-the register file, runs strictly serially, and assumes checkpoint storage
-and the recovery runtime are fault-free.  This engine removes all three
-assumptions:
+Every injection takes one path, :meth:`FaultCampaign.run_one`: a
+:class:`FaultCampaign` runs a kernel's golden launch once, then runs
+each fault plan against it and classifies the run into an
+:class:`InjectionRecord`.  :meth:`FaultCampaign.run_random` draws plain
+register-file plans from one seed; :class:`ParallelCampaign` runs a
+pure-data :class:`CampaignSpec`, one seeded plan per index, inline or
+on a supervised worker pool:
 
-- **Wider surface.**  Injections are drawn from three surfaces: the
+- **Surfaces.**  Injections are drawn from three surfaces: the
   register file (``rf``), checkpoint slots in shared/global memory under a
   SECDED correct-or-escalate model (``ckpt``), and the recovery runtime
   itself — strikes between restore actions or just before a slot load
@@ -27,21 +30,23 @@ assumptions:
   for sharded campaigns, and Wilson-score confidence intervals on the
   outcome rates.
 
-- **Fast-forward and early exit.**  Every plan targets one thread, and
-  a CTA depends only on global/const memory and params, so an injection
-  starts at its target CTA from the golden run's memory and partial
-  result at that boundary, and once past it, stops where memory equals
-  the golden run's: the rest of the launch is the golden run's, and
-  its statistics complete the result.  Both are exact (records equal a
+- **Fast-forward and early exit.**  A CTA depends only on global/const
+  memory and params, so an injection starts at its plan's first target
+  CTA from the golden run's memory and partial result at that
+  boundary, and once past its last, stops where memory equals the
+  golden run's: the rest of the launch is the golden run's, and its
+  statistics complete the result.  Both are exact (records equal a
   full simulation's) and skipped only when every golden lane fits the
-  watchdog budget, since a full run would time out in any CTA.
+  watchdog budget, since a full run would time out in any CTA; a plan
+  that names no target threads (``RateFaultPlan``) resumes at CTA 0.
   Likewise, a plain ``rf`` strike that flips a register dead at the
   struck lane's next pc (:class:`repro.analysis.liveness.Liveness` of
   the compiled kernel) stops the injection at once: parity fires only on
   a read and none comes before a redefinition, so the rest of the launch
   is the golden run's and the record takes its final result.  The
   ambient tracer counts ``campaign.ctas_skipped``,
-  ``campaign.early_exits`` and ``campaign.dead_exits``; records do not.
+  ``campaign.early_exits`` and ``campaign.dead_exits`` (a pool worker
+  sends its counts back beside each record); records do not.
 
 - **Supervision.**  A worker that segfaults, is OOM-killed, or hangs
   past the wall-clock deadline (``wall_timeout`` — distinct from the
@@ -83,15 +88,17 @@ import threading
 import zlib
 from collections import Counter as _IndexCounter
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import repro.obs as obs
 from repro.analysis.cfg import CFG
 from repro.analysis.liveness import Liveness
+from repro.coding import ParityCode
 from repro.obs.metrics import Counters
 from repro.gpusim.backend import make_executor
 from repro.gpusim.executor import (
     ExecutionResult,
+    Launch,
     SimulationError,
     _publish_counters,
     run_launch,
@@ -394,13 +401,11 @@ class CampaignReport:
         return cls(records=merged, spec=spec)
 
 
-# -- per-process campaign state --------------------------------------------------
+# -- the injection path ----------------------------------------------------------
 
 
 def _code_factory(name: str):
     if name == "parity":
-        from repro.coding import ParityCode
-
         return lambda: ParityCode(32)
     if name == "secded":
         from repro.coding import SecdedCode
@@ -437,8 +442,282 @@ class _DeadStrikeExit:
             raise _DeadStrike
 
 
-class _CampaignState:
-    """Compiled kernel + golden profile, built once per process."""
+class FaultCampaign:
+    """Golden and injected runs of one kernel launch: the one injection
+    path of every campaign.
+
+    The constructor runs the golden launch once, on the image
+    ``make_memory()`` builds (called only there), and keeps what every
+    injection reuses: the golden output of ``output_region`` (an
+    ``(addr, num_words)`` window of global memory), each thread's
+    lifetime, and clones of memory and of the running result at every
+    CTA boundary.  :meth:`run_one` runs one plan from those and
+    classifies it into an :class:`InjectionRecord`.
+    ``rf_code_factory=None`` is the parity register file.
+    """
+
+    def __init__(
+        self,
+        kernel,
+        launch: Launch,
+        make_memory: Callable[[], MemoryImage],
+        output_region: Tuple[int, int],
+        rf_code_factory=None,
+        max_instructions_per_thread: int = 2_000_000,
+        backend: str = "auto",
+        max_recoveries_per_thread: int = 1000,
+    ):
+        self.kernel = kernel
+        self.launch = launch
+        self.out = output_region
+        self.code_factory = (
+            ParityCode if rf_code_factory is None else rf_code_factory
+        )
+        code = self.code_factory()
+        self.codeword_bits = code.n if code is not None else 33
+        self.max_instructions = max_instructions_per_thread
+        self.max_recoveries = max_recoveries_per_thread
+        self.backend = backend
+        # Registers live before each instruction of each block, and each
+        # block's fall-through, for the dead-strike exit.  Built before
+        # the golden run: built after it, these long-lived objects raise
+        # the campaign workload's peak RSS by ~0.9 MB.
+        liveness = Liveness(CFG(kernel))
+        blocks = kernel.blocks
+        self.live_points = {
+            blk.label: liveness.live_points(blk.label) for blk in blocks
+        }
+        self.fall_through = {
+            blk.label: nxt.label for blk, nxt in zip(blocks, blocks[1:])
+        }
+
+        # Golden run (generous budget — the watchdog is for injected
+        # runs), keeping clones of memory and of the running result at
+        # every CTA boundary: boundaries[k] is the state before CTA k,
+        # boundaries[grid] the final one.
+        mem = make_memory()
+        self.boundaries: List[Tuple[MemoryImage, ExecutionResult]] = []
+        golden_exec = run_launch(
+            make_executor(
+                kernel, backend=backend, rf_code_factory=self.code_factory
+            ),
+            launch,
+            mem,
+            before_cta=self._keep_boundary,
+        )
+        self.golden = mem.download(*output_region)
+        self.lifetimes = {
+            key: n
+            for key, n in golden_exec.thread_instructions.items()
+            if n >= 2
+        }
+        if not self.lifetimes:
+            raise ValueError(
+                f"{kernel.name}: no thread executed enough instructions"
+            )
+        self.keys = sorted(self.lifetimes)
+        # A full injected run raises WatchdogTimeout in any CTA with a
+        # lane over the budget, so CTAs may be skipped only when every
+        # golden lane fits it.
+        self.fast_forward = (
+            max(golden_exec.thread_instructions.values())
+            <= max_instructions_per_thread
+        )
+
+    def _keep_boundary(self, ctaid: int, mem: MemoryImage, result) -> bool:
+        self.boundaries.append((mem.clone(), result.clone()))
+        return False
+
+    def golden_output(self) -> List[int]:
+        return self.golden
+
+    def dead_at_next_pc(self, t, reg: str) -> bool:
+        """Is register ``reg`` dead where thread ``t`` goes next?  ``t`` is
+        a thread just past an instruction: ``label``/``index`` is its next
+        pc, and a retired thread (``done``) has nothing live.  An index
+        past the block's end is the next block's entry, and a label the
+        solver never reached counts as live."""
+        if t.done:
+            return True
+        label, index = t.label, t.index
+        points = self.live_points.get(label)
+        if points is not None and index == len(points) - 1:
+            points = self.live_points.get(self.fall_through.get(label))
+            index = 0
+        return points is not None and Reg(reg) not in points[index]
+
+    def _draw_bits(
+        self, rng: random.Random, nbits: int, pattern: str
+    ) -> Tuple[int, ...]:
+        """``"random"`` scatters the flipped bits across the codeword;
+        ``"burst"`` flips ``nbits`` adjacent bits, the multi-bit upset of
+        one high-energy particle."""
+        if pattern == "burst":
+            start = rng.randrange(self.codeword_bits - nbits + 1)
+            return tuple(range(start, start + nbits))
+        return tuple(rng.sample(range(self.codeword_bits), nbits))
+
+    def run_random(
+        self,
+        num_injections: int,
+        seed: int = 2020,
+        bits_per_fault: int = 1,
+        max_dynamic_point: Optional[int] = None,
+        pattern: str = "random",
+    ) -> CampaignReport:
+        """Inject ``num_injections`` plain ``rf`` faults, thread, time,
+        register and bit positions drawn from one ``random.Random(seed)``;
+        a dynamic point is drawn within its thread's golden lifetime,
+        clamped to ``max_dynamic_point``."""
+        if pattern not in ("random", "burst"):
+            raise ValueError(f"unknown fault pattern {pattern!r}")
+        rng = random.Random(seed)
+        records = []
+        for i in range(num_injections):
+            ctaid, tid = self.keys[rng.randrange(len(self.keys))]
+            horizon = self.lifetimes[(ctaid, tid)]
+            if max_dynamic_point is not None:
+                horizon = min(max_dynamic_point, horizon)
+            bits = self._draw_bits(rng, bits_per_fault, pattern)
+            plan = FaultPlan(
+                ctaid=ctaid,
+                tid=tid,
+                after_instructions=rng.randrange(1, max(2, horizon)),
+                bits=bits,
+                rng_seed=rng.getrandbits(30),
+            )
+            records.append(self.run_one(plan, index=i))
+        return CampaignReport(records=records)
+
+    def _target_ctas(self, plan) -> Tuple[int, int]:
+        """``(first, last)`` CTA an injection must simulate: the span of
+        its plan's target threads, or every CTA (``last == grid``: never
+        exit early) for an untargeted plan or a budget some golden lane
+        exceeds."""
+        getter = getattr(plan, "hook_threads", None)
+        targets = getter() if getter is not None else None
+        if not targets or not self.fast_forward:
+            return 0, self.launch.grid
+        ctas = [ctaid for ctaid, _ in targets]
+        return min(ctas), max(ctas)
+
+    def run_one(
+        self, plan, *, index: int = 0, surface: str = SURFACE_RF, seed: int = 0
+    ) -> InjectionRecord:
+        """Run ``plan`` once and classify it; ``index``, ``surface`` and
+        ``seed`` are copied into the record."""
+        # Dead-strike exit: a plain rf strike on a register dead at the
+        # next pc is never read, so from there on the run is golden's.
+        # Under the budget guard only, like fast-forward.
+        hooked = plan
+        if type(plan) is FaultPlan and self.fast_forward:
+            hooked = _DeadStrikeExit(plan, self.dead_at_next_pc)
+        executor = make_executor(
+            self.kernel,
+            backend=self.backend,
+            rf_code_factory=self.code_factory,
+            max_instructions_per_thread=self.max_instructions,
+            max_recoveries_per_thread=self.max_recoveries,
+            fault_plan=hooked,
+        )
+        # Fast-forward: CTAs before the first target run exactly as in
+        # the golden run, so resume from its state at that boundary.
+        first, last = self._target_ctas(plan)
+        grid = self.launch.grid
+        mem, partial = (x.clone() for x in self.boundaries[first])
+        obs.inc("campaign.ctas_skipped", first)
+        exited_at = grid
+
+        def exit_early(ctaid: int, mem: MemoryImage, result) -> bool:
+            # Early exit: past the last target, a memory equal to golden's
+            # at the same boundary makes the rest of the launch golden's.
+            nonlocal exited_at
+            if not last < ctaid < grid:
+                return False
+            golden_mem, golden_partial = self.boundaries[ctaid]
+            if not mem.same_contents(golden_mem):
+                return False
+            result.add_ctas(self.boundaries[grid][1], golden_partial)
+            exited_at = ctaid
+            return True
+
+        # A span-less tracer scoped to this one injection: the executor's
+        # end-of-run dump and recovery histograms land in a fresh registry
+        # whose snapshot rides on the record across the process boundary.
+        injection_obs = obs.Tracer(record_spans=False)
+        dead = False
+        try:
+            with injection_obs:
+                try:
+                    result = run_launch(
+                        executor,
+                        self.launch,
+                        mem,
+                        start=first,
+                        result=partial,
+                        before_cta=exit_early,
+                    )
+                except _DeadStrike:
+                    # Golden's final result, with its sim.* counters
+                    # published once, as an early exit completes a run.
+                    result = self.boundaries[grid][1].clone()
+                    _publish_counters(result)
+                    dead = True
+        except (SimulationError, MemoryError32) as exc:
+            # Recovery failure, runaway execution, or a hardware exception
+            # (e.g. an escaped corruption landing in an address register):
+            # detected-unrecoverable either way, labelled by its cause.
+            cause = classify_due(exc).value
+            injection_obs.counters.inc(f"campaign.due.{cause}")
+            return InjectionRecord(
+                index=index,
+                surface=surface,
+                outcome=FaultOutcome.DUE.value,
+                due_cause=cause,
+                detections=-1,
+                recoveries=-1,
+                instructions=-1,
+                seed=seed,
+                detail=str(exc),
+                counters=injection_obs.counters.to_dict(),
+            )
+        if dead:
+            obs.inc("campaign.dead_exits")
+            obs.inc("campaign.ctas_skipped", grid - 1 - first)
+            output = self.golden
+        elif exited_at < grid:
+            obs.inc("campaign.early_exits")
+            obs.inc("campaign.ctas_skipped", grid - exited_at)
+            output = self.golden
+        else:
+            output = mem.download(*self.out)
+        if not plan.injected:
+            outcome = FaultOutcome.NOT_INJECTED
+        elif output == self.golden:
+            outcome = (
+                FaultOutcome.RECOVERED
+                if result.recoveries > 0
+                else FaultOutcome.MASKED
+            )
+        else:
+            outcome = FaultOutcome.SDC
+        injection_obs.counters.inc(f"campaign.outcome.{outcome.value}")
+        return InjectionRecord(
+            index=index,
+            surface=surface,
+            outcome=outcome.value,
+            detections=result.detections,
+            recoveries=result.recoveries,
+            instructions=result.instructions,
+            seed=seed,
+            detail=_plan_detail(plan),
+            counters=injection_obs.counters.to_dict(),
+        )
+
+
+class _CampaignState(FaultCampaign):
+    """The :class:`FaultCampaign` of a :class:`CampaignSpec`, compiled
+    once per process, plus its deterministic plan for each index."""
 
     def __init__(self, spec: CampaignSpec):
         from repro.bench import get_benchmark
@@ -459,80 +738,18 @@ class _CampaignState:
                 .compile(kernel, self.wl.launch_config)
                 .kernel
             )
-        self.kernel = kernel
-        # Registers live before each instruction of each block, and each
-        # block's fall-through, for the dead-strike exit.  Built before
-        # the golden run: built after it, these long-lived objects raise
-        # the campaign workload's peak RSS by ~0.9 MB.
-        liveness = Liveness(CFG(kernel))
-        blocks = kernel.blocks
-        self.live_points = {
-            blk.label: liveness.live_points(blk.label) for blk in blocks
-        }
-        self.fall_through = {
-            blk.label: nxt.label for blk, nxt in zip(blocks, blocks[1:])
-        }
         self.storage = kernel.meta.get("storage_assignment")
-        self.code_factory = _code_factory(spec.rf_code)
-        code = self.code_factory()
-        self.codeword_bits = code.n if code is not None else 33
-
-        # Golden run (generous budget — the watchdog is for injected
-        # runs), keeping clones of memory and of the running result at
-        # every CTA boundary: boundaries[k] is the state before CTA k,
-        # boundaries[grid] the final one.
         mem, _, out = self.wl.make()
-        self.boundaries: List[Tuple[MemoryImage, ExecutionResult]] = []
-        golden_exec = run_launch(
-            make_executor(
-                self.kernel,
-                backend=spec.backend,
-                rf_code_factory=self.code_factory,
-            ),
+        super().__init__(
+            kernel,
             self.wl.launch,
-            mem,
-            before_cta=self._keep_boundary,
+            lambda: mem,
+            out,
+            rf_code_factory=_code_factory(spec.rf_code),
+            max_instructions_per_thread=spec.max_instructions,
+            backend=spec.backend,
+            max_recoveries_per_thread=spec.max_recoveries,
         )
-        self.out = out
-        self.golden = mem.download(*out)
-        self.lifetimes = {
-            key: n
-            for key, n in golden_exec.thread_instructions.items()
-            if n >= 2
-        }
-        if not self.lifetimes:
-            raise ValueError(
-                f"{spec.benchmark}: no thread executed enough instructions"
-            )
-        self.keys = sorted(self.lifetimes)
-        # A full injected run raises WatchdogTimeout in any CTA with a
-        # lane over the budget, so CTAs may be skipped only when every
-        # golden lane fits it.
-        self.fast_forward = (
-            max(golden_exec.thread_instructions.values())
-            <= spec.max_instructions
-        )
-
-    def _keep_boundary(self, ctaid: int, mem: MemoryImage, result) -> bool:
-        self.boundaries.append((mem.clone(), result.clone()))
-        return False
-
-    def dead_at_next_pc(self, t, reg: str) -> bool:
-        """Is register ``reg`` dead where thread ``t`` goes next?  ``t`` is
-        a thread just past an instruction: ``label``/``index`` is its next
-        pc, and a retired thread (``done``) has nothing live.  An index
-        past the block's end is the next block's entry, and a label the
-        solver never reached counts as live."""
-        if t.done:
-            return True
-        label, index = t.label, t.index
-        points = self.live_points.get(label)
-        if points is not None and index == len(points) - 1:
-            points = self.live_points.get(self.fall_through.get(label))
-            index = 0
-        return points is not None and Reg(reg) not in points[index]
-
-    # -- deterministic plan construction --
 
     def plan_for_index(self, index: int):
         """Build injection ``index``'s plan.  Depends only on the spec and
@@ -544,7 +761,7 @@ class _CampaignState:
         ctaid, tid = self.keys[rng.randrange(len(self.keys))]
         horizon = self.lifetimes[(ctaid, tid)]
         point = rng.randrange(1, max(2, horizon))
-        bits = self._draw_bits(rng, spec.bits_per_fault)
+        bits = self._draw_bits(rng, spec.bits_per_fault, spec.pattern)
 
         if surface == SURFACE_CKPT and (
             self.storage is None or not self.storage.slots
@@ -606,130 +823,9 @@ class _CampaignState:
             )
         return surface, seed, plan
 
-    def _draw_bits(self, rng: random.Random, nbits: int) -> Tuple[int, ...]:
-        if self.spec.pattern == "burst":
-            start = rng.randrange(self.codeword_bits - nbits + 1)
-            return tuple(range(start, start + nbits))
-        return tuple(rng.sample(range(self.codeword_bits), nbits))
-
-    # -- one injection --
-
-    def _target_ctas(self, plan) -> Tuple[int, int]:
-        """``(first, last)`` CTA an injection must simulate: the span of
-        its plan's target threads, or every CTA (``last == grid``: never
-        exit early) for an untargeted plan or a budget some golden lane
-        exceeds."""
-        targets = plan.hook_threads()
-        if not targets or not self.fast_forward:
-            return 0, self.wl.launch.grid
-        ctas = [ctaid for ctaid, _ in targets]
-        return min(ctas), max(ctas)
-
     def run_index(self, index: int) -> InjectionRecord:
         surface, seed, plan = self.plan_for_index(index)
-        # Dead-strike exit: a plain rf strike on a register dead at the
-        # next pc is never read, so from there on the run is golden's.
-        # Under the budget guard only, like fast-forward.
-        hooked = plan
-        if type(plan) is FaultPlan and self.fast_forward:
-            hooked = _DeadStrikeExit(plan, self.dead_at_next_pc)
-        executor = make_executor(
-            self.kernel,
-            backend=self.spec.backend,
-            rf_code_factory=self.code_factory,
-            max_instructions_per_thread=self.spec.max_instructions,
-            max_recoveries_per_thread=self.spec.max_recoveries,
-            fault_plan=hooked,
-        )
-        # Fast-forward: CTAs before the first target run exactly as in
-        # the golden run, so resume from its state at that boundary.
-        first, last = self._target_ctas(plan)
-        grid = self.wl.launch.grid
-        mem, partial = (x.clone() for x in self.boundaries[first])
-        obs.inc("campaign.ctas_skipped", first)
-        exited_at = grid
-
-        def exit_early(ctaid: int, mem: MemoryImage, result) -> bool:
-            # Early exit: past the last target, a memory equal to golden's
-            # at the same boundary makes the rest of the launch golden's.
-            nonlocal exited_at
-            if not last < ctaid < grid:
-                return False
-            golden_mem, golden_partial = self.boundaries[ctaid]
-            if not mem.same_contents(golden_mem):
-                return False
-            result.add_ctas(self.boundaries[grid][1], golden_partial)
-            exited_at = ctaid
-            return True
-
-        # A span-less tracer scoped to this one injection: the executor's
-        # end-of-run dump and recovery histograms land in a fresh registry
-        # whose snapshot rides on the record across the process boundary.
-        injection_obs = obs.Tracer(record_spans=False)
-        dead = False
-        try:
-            with injection_obs:
-                try:
-                    result = run_launch(
-                        executor,
-                        self.wl.launch,
-                        mem,
-                        start=first,
-                        result=partial,
-                        before_cta=exit_early,
-                    )
-                except _DeadStrike:
-                    # Golden's final result, with its sim.* counters
-                    # published once, as an early exit completes a run.
-                    result = self.boundaries[grid][1].clone()
-                    _publish_counters(result)
-                    dead = True
-        except (SimulationError, MemoryError32) as exc:
-            injection_obs.counters.inc(f"campaign.due.{classify_due(exc).value}")
-            return InjectionRecord(
-                index=index,
-                surface=surface,
-                outcome=FaultOutcome.DUE.value,
-                due_cause=classify_due(exc).value,
-                detections=-1,
-                recoveries=-1,
-                instructions=-1,
-                seed=seed,
-                detail=str(exc),
-                counters=injection_obs.counters.to_dict(),
-            )
-        if dead:
-            obs.inc("campaign.dead_exits")
-            obs.inc("campaign.ctas_skipped", grid - 1 - first)
-            output = self.golden
-        elif exited_at < grid:
-            obs.inc("campaign.early_exits")
-            obs.inc("campaign.ctas_skipped", grid - exited_at)
-            output = self.golden
-        else:
-            output = mem.download(*self.out)
-        if not plan.injected:
-            outcome = FaultOutcome.NOT_INJECTED
-        elif output == self.golden:
-            outcome = (
-                FaultOutcome.RECOVERED
-                if result.recoveries > 0
-                else FaultOutcome.MASKED
-            )
-        else:
-            outcome = FaultOutcome.SDC
-        injection_obs.counters.inc(f"campaign.outcome.{outcome.value}")
-        return InjectionRecord(
-            index=index,
-            surface=surface,
-            outcome=outcome.value,
-            detections=result.detections,
-            recoveries=result.recoveries,
-            instructions=result.instructions,
-            seed=seed,
-            detail=_plan_detail(plan),
-            counters=injection_obs.counters.to_dict(),
-        )
+        return self.run_one(plan, index=index, surface=surface, seed=seed)
 
 
 def _plan_detail(plan) -> Optional[str]:
@@ -766,7 +862,10 @@ def _pool_runner(payload: Dict) -> Dict:
 
     The compiled kernel + golden profile are built once per worker
     process and cached by spec digest, so a restarted worker rebuilds
-    them exactly once and consecutive injections pay nothing.
+    them exactly once and consecutive injections pay nothing.  The
+    injection runs under a span-less tracer of its own, whose counters
+    (``campaign.ctas_skipped`` and the like, which no record carries)
+    go back beside the record for the parent to merge.
     """
     global _WORKER_STATE
     spec_dict = payload["spec"]
@@ -776,9 +875,12 @@ def _pool_runner(payload: Dict) -> Dict:
             digest,
             _CampaignState(CampaignSpec.from_dict(spec_dict)),
         )
-    return dataclasses.asdict(
-        _WORKER_STATE[1].run_index(int(payload["index"]))
-    )
+    with obs.Tracer(record_spans=False) as tracer:
+        record = _WORKER_STATE[1].run_index(int(payload["index"]))
+    return {
+        "record": dataclasses.asdict(record),
+        "counters": tracer.counters.to_dict(),
+    }
 
 
 # -- journal ---------------------------------------------------------------------
@@ -1210,6 +1312,7 @@ class ParallelCampaign:
         jobs = (
             (str(i), {"spec": spec_dict, "index": i}) for i in todo
         )
+        tracer = obs.current_tracer()
         with WorkerPool(config) as pool:
             for key, outcome in pool.imap_supervised(
                 jobs, stop=self._stop
@@ -1217,8 +1320,12 @@ class ParallelCampaign:
                 index = int(key)
                 if isinstance(outcome, TaskRuntimeError):
                     yield self._crash_record(index, outcome)
-                else:
-                    yield InjectionRecord(**outcome)
+                    continue
+                if tracer is not None:
+                    tracer.counters.merge(
+                        Counters.from_dict(outcome["counters"])
+                    )
+                yield InjectionRecord(**outcome["record"])
             m = pool.metrics
             self._supervision = {
                 "workers": self.workers,

@@ -390,6 +390,11 @@ class Executor:
         self.max_instructions = max_instructions_per_thread
         self.max_recoveries = max_recoveries_per_thread
         self.fault_plan = fault_plan
+        # The (ctaid, tid) pairs whose hooks fire; ``None`` = every thread.
+        targets = getattr(fault_plan, "hook_threads", None)
+        self._hook_targets = (
+            frozenset(targets()) if callable(targets) else None
+        )
         self._block_index = {blk.label: i for i, blk in enumerate(kernel.blocks)}
         self._recovery_runtime = None
         table = kernel.meta.get("recovery_table")
@@ -513,6 +518,10 @@ class Executor:
     def _run_thread_slice(
         self, t: ThreadContext, env: "_BlockEnv", slice_len: int
     ) -> None:
+        plan = self.fault_plan
+        targets = self._hook_targets
+        if targets is not None and (t.ctaid, t.tid) not in targets:
+            plan = None
         for _ in range(slice_len):
             if t.done or t.at_barrier:
                 return
@@ -538,8 +547,8 @@ class Executor:
                 self._recover(t, env, err)
                 continue
             t.executed += 1
-            if self.fault_plan is not None:
-                self.fault_plan.after_instruction(t, env)
+            if plan is not None:
+                plan.after_instruction(t, env)
 
     def _enter_block(self, t: ThreadContext, label: str) -> None:
         t.label = label

@@ -1,9 +1,9 @@
 """Soft-error fault injection: plans, outcomes and the DUE taxonomy.
 
-A *fault plan* is the executor's injection hook.  The original surface is
-the register file (:class:`FaultPlan`: flip codeword bits of one register
-at one dynamic point; :class:`RateFaultPlan`: continuous pressure).  The
-campaign engine (:mod:`repro.gpusim.campaign`) widens it:
+A *fault plan* is the executor's injection hook.  The register file is
+struck by :class:`FaultPlan` (flip codeword bits of one register at one
+dynamic point) and :class:`RateFaultPlan` (continuous pressure); the
+other surfaces are:
 
 - :class:`CheckpointFaultPlan` strikes a checkpoint slot in shared/global
   memory under a simulated SECDED correct-or-escalate model (1 bit →
@@ -26,9 +26,10 @@ Each injected execution is classified:
 - ``DUE``       — detected but unrecoverable; every DUE additionally
   carries a :class:`DueType` label saying *why* (see below).
 
-The campaign validates the paper's Appendix A empirically: with parity
-detection + Penny recovery, single-bit faults never produce SDC and never
-need in-region detection.
+:class:`repro.gpusim.campaign.FaultCampaign` runs plans and classifies
+them, and with them checks the paper's Appendix A empirically: with
+parity detection + Penny recovery, single-bit faults never produce SDC
+and never need in-region detection.
 """
 
 from __future__ import annotations
@@ -37,17 +38,15 @@ import enum
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.gpusim.executor import (
-    Executor,
-    Launch,
     SimulationError,
     ThreadContext,
     UnrecoverableError,
     WatchdogTimeout,
 )
-from repro.gpusim.memory import MemoryError32, MemoryImage
+from repro.gpusim.memory import MemoryError32
 
 
 class DueType(enum.Enum):
@@ -434,175 +433,3 @@ class FaultOutcome(enum.Enum):
     SDC = "sdc"
     DUE = "due"
     NOT_INJECTED = "not_injected"
-
-
-@dataclass
-class InjectionResult:
-    plan: FaultPlan
-    outcome: FaultOutcome
-    detections: int
-    recoveries: int
-    due_cause: Optional[str] = None
-
-
-@dataclass
-class CampaignReport:
-    results: List[InjectionResult] = field(default_factory=list)
-
-    def count(self, outcome: FaultOutcome) -> int:
-        return sum(1 for r in self.results if r.outcome is outcome)
-
-    def summary(self) -> Dict[str, int]:
-        return {o.value: self.count(o) for o in FaultOutcome}
-
-    def due_taxonomy(self) -> Dict[str, int]:
-        taxonomy: Dict[str, int] = {}
-        for r in self.results:
-            if r.outcome is FaultOutcome.DUE and r.due_cause:
-                taxonomy[r.due_cause] = taxonomy.get(r.due_cause, 0) + 1
-        return taxonomy
-
-
-class FaultCampaign:
-    """Runs golden + injected executions of one prepared workload.
-
-    ``make_memory`` builds a fresh :class:`MemoryImage` per run (inputs must
-    be identical across runs); ``output_region`` is the (addr, num_words)
-    window of global memory whose contents define program output.
-
-    This is the serial, register-file-only campaign the repository started
-    with; :class:`repro.gpusim.campaign.ParallelCampaign` supersedes it for
-    large, multi-surface, journaled runs but keeps this class as its
-    single-injection primitive shape.
-    """
-
-    def __init__(
-        self,
-        kernel,
-        launch: Launch,
-        make_memory: Callable[[], MemoryImage],
-        output_region: Tuple[int, int],
-        rf_code_factory=None,
-        max_instructions_per_thread: int = 2_000_000,
-        backend: str = "auto",
-    ):
-        self.kernel = kernel
-        self.launch = launch
-        self.make_memory = make_memory
-        self.output_region = output_region
-        self.rf_code_factory = rf_code_factory
-        self.max_instructions = max_instructions_per_thread
-        self.backend = backend
-        self._golden: Optional[List[int]] = None
-
-    def _executor(self, fault_plan=None):
-        from repro.gpusim.backend import make_executor
-
-        kwargs = {
-            "max_instructions_per_thread": self.max_instructions,
-            "fault_plan": fault_plan,
-        }
-        if self.rf_code_factory is not None:
-            kwargs["rf_code_factory"] = self.rf_code_factory
-        return make_executor(self.kernel, backend=self.backend, **kwargs)
-
-    def golden_output(self) -> List[int]:
-        if self._golden is None:
-            mem = self.make_memory()
-            self._executor().run(self.launch, mem)
-            addr, count = self.output_region
-            self._golden = mem.download(addr, count)
-        return self._golden
-
-    def run_one(self, plan: FaultPlan) -> InjectionResult:
-        golden = self.golden_output()
-        mem = self.make_memory()
-        executor = self._executor(fault_plan=plan)
-        try:
-            result = executor.run(self.launch, mem)
-        except (SimulationError, MemoryError32) as exc:
-            # Recovery failure, runaway execution, or a hardware exception
-            # (e.g. an escaped corruption landing in an address register):
-            # detected-unrecoverable either way — but the taxonomy label
-            # records which.
-            return InjectionResult(
-                plan, FaultOutcome.DUE, -1, -1, classify_due(exc).value
-            )
-        addr, count = self.output_region
-        output = mem.download(addr, count)
-        if not plan.injected:
-            outcome = FaultOutcome.NOT_INJECTED
-        elif output == golden:
-            outcome = (
-                FaultOutcome.RECOVERED
-                if result.recoveries > 0
-                else FaultOutcome.MASKED
-            )
-        else:
-            outcome = FaultOutcome.SDC
-        return InjectionResult(
-            plan, outcome, result.detections, result.recoveries
-        )
-
-    def run_random(
-        self,
-        num_injections: int,
-        seed: int = 2020,
-        bits_per_fault: int = 1,
-        max_dynamic_point: Optional[int] = None,
-        pattern: str = "random",
-    ) -> CampaignReport:
-        """Inject ``num_injections`` random faults (thread, time, register,
-        bit positions all randomized).
-
-        ``pattern`` selects how multi-bit faults are shaped: ``"random"``
-        scatters the flipped bits across the codeword; ``"burst"`` flips
-        ``bits_per_fault`` *adjacent* bits — the multi-bit upset mode from
-        a single high-energy particle that motivates the paper's stronger
-        detection codings (near-threshold operation increases these 2.6x,
-        §2 footnote).
-        """
-        rng = random.Random(seed)
-        report = CampaignReport()
-        # Profile the golden run so injection points land within each
-        # thread's actual lifetime (threads diverge wildly in length).
-        golden_mem = self.make_memory()
-        golden_exec = self._executor().run(self.launch, golden_mem)
-        lifetimes = {
-            key: n
-            for key, n in golden_exec.thread_instructions.items()
-            if n >= 2
-        }
-        if not lifetimes:
-            raise ValueError("no thread executed enough instructions")
-        keys = sorted(lifetimes)
-        codeword_bits = 33
-        if self.rf_code_factory is not None:
-            code = self.rf_code_factory()
-            if code is not None:
-                codeword_bits = code.n
-        if pattern not in ("random", "burst"):
-            raise ValueError(f"unknown fault pattern {pattern!r}")
-        for i in range(num_injections):
-            ctaid, tid = keys[rng.randrange(len(keys))]
-            # Clamp the caller's horizon to this thread's actual lifetime:
-            # a point past thread exit can never fire and would burn the
-            # run as NOT_INJECTED.
-            horizon = lifetimes[(ctaid, tid)]
-            if max_dynamic_point is not None:
-                horizon = min(max_dynamic_point, horizon)
-            if pattern == "burst":
-                start = rng.randrange(codeword_bits - bits_per_fault + 1)
-                bits = tuple(range(start, start + bits_per_fault))
-            else:
-                bits = tuple(rng.sample(range(codeword_bits), bits_per_fault))
-            plan = FaultPlan(
-                ctaid=ctaid,
-                tid=tid,
-                after_instructions=rng.randrange(1, max(2, horizon)),
-                reg_name=None,
-                bits=bits,
-                rng_seed=rng.getrandbits(30),
-            )
-            report.results.append(self.run_one(plan))
-        return report

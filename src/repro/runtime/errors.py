@@ -27,8 +27,13 @@ def _plain(value: Any) -> Any:
     return str(value)
 
 
-class TaskRuntimeError(RuntimeError):
-    """Base class of every supervised-runtime failure."""
+class TypedError(RuntimeError):
+    """A failure that travels as ``{"type", "message", "detail"}``.
+
+    The common body of :class:`TaskRuntimeError` and
+    :class:`repro.serve.errors.ServeError`, which stay siblings so that
+    an ``except`` clause naming one never catches the other.
+    """
 
     def __init__(self, message: str, **detail: Any):
         super().__init__(message)
@@ -41,6 +46,10 @@ class TaskRuntimeError(RuntimeError):
             "message": self.message,
             "detail": {k: _plain(v) for k, v in self.detail.items()},
         }
+
+
+class TaskRuntimeError(TypedError):
+    """Base class of every supervised-runtime failure."""
 
 
 class WorkerCrashError(TaskRuntimeError):

@@ -16,23 +16,11 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.runtime.errors import _plain
+from repro.runtime.errors import TypedError
 
 
-class ServeError(RuntimeError):
+class ServeError(TypedError):
     """Base class of every serving-layer failure."""
-
-    def __init__(self, message: str, **detail: Any):
-        super().__init__(message)
-        self.message = message
-        self.detail: Dict[str, Any] = detail
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "type": type(self).__name__,
-            "message": self.message,
-            "detail": {k: _plain(v) for k, v in self.detail.items()},
-        }
 
 
 class ServerBusy(ServeError):

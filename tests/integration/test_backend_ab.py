@@ -202,6 +202,40 @@ class _PcRecorder:
             trace.append((t.executed, t.label, t.index, t.done))
 
 
+class _HookCounter:
+    """A plan that counts its hook calls and targets one thread."""
+
+    def __init__(self, target):
+        self.target = target
+        self.calls = 0
+
+    def hook_threads(self):
+        return [self.target]
+
+    def after_instruction(self, t, env=None):
+        self.calls += 1
+
+
+def test_hooks_fire_only_for_target_threads():
+    """Both engines call a targeted plan's hook only for the threads
+    ``hook_threads()`` names: once per instruction of the target."""
+    bench = get_benchmark("HS")
+    wl = bench.workload()
+    kernel = PennyCompiler(scheme_config(SCHEME_PENNY)).compile(
+        bench.fresh_kernel(), wl.launch_config
+    ).kernel
+    target = (wl.launch.grid - 1, 5)
+    calls = {}
+    for backend in ("scalar", "vector"):
+        plan = _HookCounter(target)
+        result = make_executor(kernel, backend=backend, fault_plan=plan).run(
+            wl.launch, wl.make_memory()
+        )
+        calls[backend] = plan.calls
+    assert calls["scalar"] == calls["vector"]
+    assert calls["vector"] == result.thread_instructions[target] > 0
+
+
 def _executed(kernel, trace):
     """The instruction each hook call of ``trace`` fired for: the one at
     the pc the previous call saw (the entry for the first), an index

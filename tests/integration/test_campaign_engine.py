@@ -181,7 +181,7 @@ class TestSatelliteFixes:
         from repro.bench import get_benchmark
         from repro.core.pipeline import PennyCompiler
         from repro.core.schemes import SCHEME_PENNY, scheme_config
-        from repro.gpusim.faults import FaultCampaign
+        from repro.gpusim.campaign import FaultCampaign
 
         bench = get_benchmark("STC")
         wl = bench.workload()

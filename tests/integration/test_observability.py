@@ -137,6 +137,24 @@ class TestCampaignCounters:
                 )
             )
 
+    @pytest.mark.parametrize("use_threads", [False, True])
+    def test_workers_send_skipped_work_back(self, campaign_spec, use_threads):
+        """A 2-worker run reports the ambient ``campaign.*`` counts of
+        the inline run: each worker's come back beside its records."""
+        counts = {}
+        for workers in (1, 2):
+            with obs.Tracer(record_spans=False) as tracer:
+                ParallelCampaign(
+                    campaign_spec, workers=workers, use_threads=use_threads
+                ).run()
+            counts[workers] = {
+                name: n
+                for name, n in tracer.counters.counts.items()
+                if name.startswith("campaign.")
+            }
+        assert counts[2] == counts[1]
+        assert counts[2]["campaign.dead_exits"] > 0
+
     def test_shard_merge_equals_serial(self, campaign_spec, serial_report):
         """The acceptance property: merging sharded runs reproduces the
         serial run's counter totals exactly."""

@@ -73,7 +73,9 @@ def test_detection_can_cross_region_boundaries():
     plan = FaultPlan(ctaid=0, tid=3, after_instructions=12, reg_name=None,
                      bits=(5,), rng_seed=9)
     outcome = campaign.run_one(plan)
-    assert outcome.outcome in (FaultOutcome.RECOVERED, FaultOutcome.MASKED)
+    assert FaultOutcome(outcome.outcome) in (
+        FaultOutcome.RECOVERED, FaultOutcome.MASKED
+    )
 
 
 def test_double_bit_fault_escapes_parity():
@@ -144,9 +146,9 @@ def test_fault_in_checkpoint_base_register_recovers():
                 reg_name=reg, bits=(4,),
             )
             outcome = campaign.run_one(plan)
-            if outcome.plan.injected:
+            if plan.injected:
                 hit_base += 1
-                assert outcome.outcome in (
+                assert FaultOutcome(outcome.outcome) in (
                     FaultOutcome.RECOVERED,
                     FaultOutcome.MASKED,
                 ), outcome.outcome

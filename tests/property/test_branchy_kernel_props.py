@@ -123,8 +123,8 @@ def test_branchy_kernels_recover(kernel, seed):
         result.kernel, Launch(grid=1, block=8), make_memory, (0, 4096)
     )
     report = campaign.run_random(4, seed=seed, bits_per_fault=1)
-    for r in report.results:
-        assert r.outcome in (
+    for r in report.records:
+        assert FaultOutcome(r.outcome) in (
             FaultOutcome.MASKED,
             FaultOutcome.RECOVERED,
             FaultOutcome.NOT_INJECTED,

@@ -104,8 +104,8 @@ def test_penny_recovers_random_dataflow(kernel, seed):
         result.kernel, Launch(grid=1, block=16), make_memory, (0, 256)
     )
     report = campaign.run_random(4, seed=seed, bits_per_fault=1)
-    for r in report.results:
-        assert r.outcome in (
+    for r in report.records:
+        assert FaultOutcome(r.outcome) in (
             FaultOutcome.MASKED,
             FaultOutcome.RECOVERED,
             FaultOutcome.NOT_INJECTED,

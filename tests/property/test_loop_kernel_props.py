@@ -119,8 +119,8 @@ def test_loop_kernels_recover_from_faults(kernel, seed):
         result.kernel, Launch(grid=1, block=8), make_memory, (0, 4096)
     )
     report = campaign.run_random(4, seed=seed, bits_per_fault=1)
-    for r in report.results:
-        assert r.outcome in (
+    for r in report.records:
+        assert FaultOutcome(r.outcome) in (
             FaultOutcome.MASKED,
             FaultOutcome.RECOVERED,
             FaultOutcome.NOT_INJECTED,

@@ -58,7 +58,7 @@ def test_stc_single_bit_invariant(tid, ctaid, point, bit, reg_seed):
         rng_seed=reg_seed,
     )
     result = campaign.run_one(plan)
-    assert result.outcome in (
+    assert FaultOutcome(result.outcome) in (
         FaultOutcome.MASKED,
         FaultOutcome.RECOVERED,
         FaultOutcome.NOT_INJECTED,
@@ -87,7 +87,7 @@ def test_bo_single_bit_invariant(tid, point, bit, reg_seed):
         rng_seed=reg_seed,
     )
     result = campaign.run_one(plan)
-    assert result.outcome in (
+    assert FaultOutcome(result.outcome) in (
         FaultOutcome.MASKED,
         FaultOutcome.RECOVERED,
         FaultOutcome.NOT_INJECTED,
@@ -116,7 +116,7 @@ def test_fw_single_bit_invariant(tid, point, bit, reg_seed):
         rng_seed=reg_seed,
     )
     result = campaign.run_one(plan)
-    assert result.outcome in (
+    assert FaultOutcome(result.outcome) in (
         FaultOutcome.MASKED,
         FaultOutcome.RECOVERED,
         FaultOutcome.NOT_INJECTED,

@@ -13,6 +13,7 @@ an injection that exited early).
 """
 
 import dataclasses
+import random
 
 import pytest
 
@@ -20,14 +21,18 @@ import repro.bench
 import repro.gpusim.campaign as campaign
 import repro.obs as obs
 from repro.bench import Benchmark, Workload
+from repro.core.pipeline import LaunchConfig, PennyCompiler
+from repro.core.schemes import SCHEME_PENNY, scheme_config
+from repro.fuzz.generator import generate_case
 from repro.gpusim import make_executor
 from repro.gpusim.campaign import (
     CampaignSpec,
+    FaultCampaign,
     InjectionRecord,
     _CampaignState,
     _plan_detail,
 )
-from repro.gpusim.executor import SimulationError
+from repro.gpusim.executor import Launch, SimulationError
 from repro.gpusim.faults import FaultOutcome, FaultPlan, classify_due
 from repro.gpusim.memory import MemoryError32
 from repro.ir.parser import parse_kernel
@@ -48,43 +53,41 @@ CAMPAIGNS = [
 ]
 
 
-def _reference(state, index):
-    """The injection before fast-forward: a fresh memory image and a full
-    launch from CTA 0.  Returns the record, the result (``None`` for a
-    DUE) and the final memory."""
-    surface, seed, plan = state.plan_for_index(index)
-    mem = state.wl.make_memory()
+def _reference(fc, make_memory, plan, **fields):
+    """``plan`` as ``fc`` ran it before fast-forward: a fresh memory image
+    from ``make_memory`` and a full launch from CTA 0.  ``fields`` are
+    the record's ``index``, ``surface`` and ``seed``.  Returns the record,
+    the result (``None`` for a DUE) and the final memory."""
+    mem = make_memory()
     executor = make_executor(
-        state.kernel,
-        backend=state.spec.backend,
-        rf_code_factory=state.code_factory,
-        max_instructions_per_thread=state.spec.max_instructions,
-        max_recoveries_per_thread=state.spec.max_recoveries,
+        fc.kernel,
+        backend=fc.backend,
+        rf_code_factory=fc.code_factory,
+        max_instructions_per_thread=fc.max_instructions,
+        max_recoveries_per_thread=fc.max_recoveries,
         fault_plan=plan,
     )
     injection_obs = obs.Tracer(record_spans=False)
     try:
         with injection_obs:
-            result = executor.run(state.wl.launch, mem)
+            result = executor.run(fc.launch, mem)
     except (SimulationError, MemoryError32) as exc:
         injection_obs.counters.inc(f"campaign.due.{classify_due(exc).value}")
         record = InjectionRecord(
-            index=index,
-            surface=surface,
+            **fields,
             outcome=FaultOutcome.DUE.value,
             due_cause=classify_due(exc).value,
             detections=-1,
             recoveries=-1,
             instructions=-1,
-            seed=seed,
             detail=str(exc),
             counters=injection_obs.counters.to_dict(),
         )
         return record, None, mem
-    output = mem.download(*state.out)
+    output = mem.download(*fc.out)
     if not plan.injected:
         outcome = FaultOutcome.NOT_INJECTED
-    elif output == state.golden:
+    elif output == fc.golden:
         outcome = (
             FaultOutcome.RECOVERED
             if result.recoveries > 0
@@ -94,21 +97,19 @@ def _reference(state, index):
         outcome = FaultOutcome.SDC
     injection_obs.counters.inc(f"campaign.outcome.{outcome.value}")
     record = InjectionRecord(
-        index=index,
-        surface=surface,
+        **fields,
         outcome=outcome.value,
         detections=result.detections,
         recoveries=result.recoveries,
         instructions=result.instructions,
-        seed=seed,
         detail=_plan_detail(plan),
         counters=injection_obs.counters.to_dict(),
     )
     return record, result, mem
 
 
-def _fast(state, index, monkeypatch):
-    """``state.run_index(index)`` plus the memory and result of its
+def _fast(fc, plan, monkeypatch, **fields):
+    """``fc.run_one(plan, **fields)`` plus the memory and result of its
     launch, and the ambient ``campaign.*`` counters it reported.  The
     result is the one whose ``sim.*`` counters the record carries: the
     launch's, or the golden one a dead-strike exit published."""
@@ -129,19 +130,26 @@ def _fast(state, index, monkeypatch):
         patch.setattr(campaign, "run_launch", spy)
         patch.setattr(campaign, "_publish_counters", spy_publish)
         with obs.Tracer(record_spans=False) as tracer:
-            record = state.run_index(index)
+            record = fc.run_one(plan, **fields)
     return record, seen.get("result"), seen["mem"], tracer.counters.counts
 
 
-def _compare(state, indices, monkeypatch):
-    """Assert that fast and reference agree on every index; returns the
-    outcomes, the summed ``campaign.*`` counters and the target CTA of
-    every dead-strike exit."""
+def _compare(fc, make_memory, draw, indices, monkeypatch):
+    """Assert that fast and reference agree on every index, ``draw(index)``
+    giving its ``(surface, seed, plan)`` with a fresh plan each call;
+    returns the outcomes, the summed ``campaign.*`` counters and the
+    target CTA of every dead-strike exit."""
     outcomes, skipped, exits, dead_ctas = [], 0, 0, []
-    final_mem = state.boundaries[-1][0]
+    final_mem = fc.boundaries[-1][0]
     for index in indices:
-        want, want_result, want_mem = _reference(state, index)
-        got, got_result, got_mem, counts = _fast(state, index, monkeypatch)
+        surface, seed, plan = draw(index)
+        fields = dict(index=index, surface=surface, seed=seed)
+        want, want_result, want_mem = _reference(
+            fc, make_memory, plan, **fields
+        )
+        got, got_result, got_mem, counts = _fast(
+            fc, draw(index)[2], monkeypatch, **fields
+        )
         assert dataclasses.asdict(got) == dataclasses.asdict(want), index
         if want_result is not None:
             assert got_result == want_result, index
@@ -153,11 +161,18 @@ def _compare(state, indices, monkeypatch):
             assert got_mem.same_contents(want_mem), index
         if counts.get("campaign.dead_exits"):
             assert want.outcome == "masked", index
-            dead_ctas.append(state.plan_for_index(index)[2].ctaid)
+            dead_ctas.append(plan.ctaid)
         outcomes.append(want.outcome)
         skipped += counts.get("campaign.ctas_skipped", 0)
         exits += counts.get("campaign.early_exits", 0)
     return outcomes, skipped, exits, dead_ctas
+
+
+def _compare_state(state, indices, monkeypatch):
+    """:func:`_compare` on a spec's campaign and its own plans."""
+    return _compare(
+        state, state.wl.make_memory, state.plan_for_index, indices, monkeypatch
+    )
 
 
 def _state(bench, backend="vector", **fields):
@@ -179,7 +194,7 @@ def _state(bench, backend="vector", **fields):
 def test_records_equal_full_simulation(bench, config, backend, monkeypatch):
     state = _state(bench, backend, **CONFIGS[config])
     assert state.fast_forward
-    outcomes, skipped, exits, dead_ctas = _compare(
+    outcomes, skipped, exits, dead_ctas = _compare_state(
         state, range(INJECTIONS), monkeypatch
     )
     # Every injection skips the CTAs before its target, and masked or
@@ -204,7 +219,7 @@ def test_budget_boundary(below, monkeypatch):
     budget = largest_golden_lane("GAU") - below
     state = _state("GAU", max_instructions=budget)
     assert state.fast_forward == (below == 0)
-    outcomes, skipped, exits, dead_ctas = _compare(
+    outcomes, skipped, exits, dead_ctas = _compare_state(
         state, range(INJECTIONS), monkeypatch
     )
     if below:
@@ -221,7 +236,8 @@ def test_resume_does_not_rerun_the_prologue(monkeypatch):
     golden_mem = state.boundaries[-1][0]
     assert golden_mem.ckpt_global_words > 0
     for index in range(4):
-        _, _, mem, _ = _fast(state, index, monkeypatch)
+        plan = state.plan_for_index(index)[2]
+        _, _, mem, _ = _fast(state, plan, monkeypatch)
         assert mem.ckpt_global_base == golden_mem.ckpt_global_base
         assert (
             mem.global_mem._alloc_ptr == golden_mem.global_mem._alloc_ptr
@@ -287,8 +303,60 @@ def test_strike_right_after_a_branch(backend, monkeypatch):
         )
 
     monkeypatch.setattr(state, "plan_for_index", plan_for_index)
-    outcomes, _, _, dead_ctas = _compare(
+    outcomes, _, _, dead_ctas = _compare_state(
         state, range(len(targets)), monkeypatch
     )
     assert outcomes == ["masked", "due"] * 4
     assert dead_ctas == [0, 0, 1, 1]
+
+
+#: fuzz-generator seeds whose cases launch 2 CTAs; among their drawn
+#: plans are recovered, SDC and DUE outcomes, SDCs in CTA 0 among them
+FUZZ_SEEDS = [0, 5, 9, 10, 16, 20, 21, 38]
+
+
+@pytest.mark.parametrize("backend", ["vector", "scalar"])
+@pytest.mark.parametrize("seed", FUZZ_SEEDS)
+def test_generated_kernels_equal_full_simulation(seed, backend, monkeypatch):
+    """``run_one`` on random 1- and 2-bit rf plans equals a full launch
+    on generated multi-CTA kernels under Penny; the output is the whole
+    window of global memory the case allocates."""
+    case = generate_case(seed)
+    assert case.grid == 2
+    kernel = PennyCompiler(scheme_config(SCHEME_PENNY)).compile(
+        case.kernel(),
+        LaunchConfig(threads_per_block=case.block, num_blocks=case.grid),
+    ).kernel
+
+    def make_memory():
+        return case.make_memory()[0]
+
+    out_map = case.make_memory()[1]
+    window = (0, max(addr // 4 + words for addr, words in out_map.values()))
+    fc = FaultCampaign(
+        kernel,
+        Launch(grid=case.grid, block=case.block),
+        make_memory,
+        window,
+        backend=backend,
+    )
+    assert fc.fast_forward
+
+    def draw(index):
+        rng = random.Random(seed * 1000 + index)
+        ctaid, tid = fc.keys[rng.randrange(len(fc.keys))]
+        plan = FaultPlan(
+            ctaid=ctaid,
+            tid=tid,
+            after_instructions=rng.randrange(1, fc.lifetimes[(ctaid, tid)]),
+            bits=tuple(rng.sample(range(33), rng.choice((1, 2)))),
+            rng_seed=rng.getrandbits(30),
+        )
+        return "rf", seed, plan
+
+    outcomes, _, exits, dead_ctas = _compare(
+        fc, make_memory, draw, range(16), monkeypatch
+    )
+    assert exits > 0 and dead_ctas
+    assert "recovered" in outcomes
+    assert {"sdc", "due"} & set(outcomes)

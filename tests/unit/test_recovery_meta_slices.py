@@ -102,7 +102,7 @@ class TestSliceEvaluation:
         assert slice_restores
 
     def test_recovery_through_slices(self):
-        from repro.gpusim.faults import FaultOutcome, FaultPlan, FaultCampaign
+        from repro.gpusim.campaign import FaultCampaign
 
         result = self._compiled()
 

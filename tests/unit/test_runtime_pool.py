@@ -100,6 +100,29 @@ def test_runtime_errors_revive_as_serve_errors():
         assert revived.to_dict() == wire
 
 
+def test_runtime_and_serve_errors_are_siblings():
+    """Both hierarchies share one body, but an ``except`` clause naming
+    one never catches the other, and both put the same shape on the
+    wire."""
+    from repro.serve.errors import ServeError, ServerBusy
+
+    for raised, other in (
+        (WorkerCrashError("worker 3 died", slot=3), ServeError),
+        (ServerBusy("queue full", depth=4), TaskRuntimeError),
+    ):
+        with pytest.raises(type(raised)):
+            try:
+                raise raised
+            except other:
+                pytest.fail(f"{other.__name__} caught {raised!r}")
+    for cls in (TaskRuntimeError, ServeError):
+        assert cls("m", pair=(1, 2), obj=object).to_dict() == {
+            "type": cls.__name__,
+            "message": "m",
+            "detail": {"pair": [1, 2], "obj": str(object)},
+        }
+
+
 # -- imap_supervised --------------------------------------------------------------
 
 
