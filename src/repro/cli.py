@@ -217,7 +217,6 @@ def _compile_all(args: argparse.Namespace):
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
-    _apply_backend(args)
     with _Observation(args) as watch:
         results = _compile_all(args)
         for result in results:
@@ -1097,6 +1096,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="with --corpus: replay findings against a strict "
                      "compiler",
             )
+            _add_backend_flag(p)
         else:
             p.add_argument("input", help="PTX-subset file, or '-' for stdin")
         _add_config_flags(p)
@@ -1106,7 +1106,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "(repro.serve batch driver)",
         )
         _add_cache_dir_flag(p, "none")
-        _add_backend_flag(p)
         if name == "compile":
             _add_observe_flags(p)
         p.set_defaults(func=func)

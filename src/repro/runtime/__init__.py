@@ -1,7 +1,7 @@
 """``repro.runtime`` — the shared supervised task runtime.
 
-Every large sweep in this repository — compile farms
-(:mod:`repro.serve`), fault-injection campaigns
+Every large sweep in this repository — the compile server and batch
+compiles (:mod:`repro.serve`), fault-injection campaigns
 (:mod:`repro.gpusim.campaign`) and fuzz sweeps (:mod:`repro.fuzz`) —
 drives worker processes over many independent tasks.  A bare
 ``multiprocessing.Pool`` turns a single worker SIGKILL, OOM-kill or

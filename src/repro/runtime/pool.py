@@ -1,4 +1,4 @@
-"""The supervised worker pool (shared by serve, campaign, and fuzz).
+"""The supervised worker pool (shared by serve, batch, campaign, and fuzz).
 
 ``multiprocessing.Pool`` / ``ProcessPoolExecutor`` have no supervision
 story: a worker SIGKILLed mid-job poisons the whole pool
@@ -35,15 +35,16 @@ completion-ordered results over a large index space use
 :meth:`WorkerPool.imap_supervised`, which keeps a bounded submission
 window so a million-task sweep never materializes a million futures.
 
-The pool is parameterized for its three tenants:
+The pool is parameterized for its tenants — the compile server, batch
+compiles, campaigns and fuzz sweeps:
 
 - ``runner`` — the ``module:attr`` task function (resolved inside the
   worker, so forked workers import lazily and thread-mode tests can
   monkeypatch it);
 - ``chaos_site`` — the :mod:`repro.serve.chaos` site consulted per
-  dispatch (``worker.job`` for the compile farm, ``campaign.worker``
-  for injection/fuzz sweeps), so each tenant's fault plan addresses its
-  own workers.
+  dispatch (``worker.job`` for compile jobs, served or batched,
+  ``campaign.worker`` for injection/fuzz sweeps), so each tenant's fault
+  plan addresses its own workers.
 
 Unabsorbed crashes and quarantine raise
 :class:`~repro.runtime.errors.WorkerCrashError` /

@@ -13,9 +13,11 @@ Four layers turn the one-shot compiler into a serving subsystem:
   consults the context's cache on each ``compile()``.
 
 - **Parallel batch driver** (:mod:`repro.serve.batch`):
-  :func:`compile_batch` fans jobs over a process pool with
-  deterministic result ordering, per-job typed error capture and cache
-  consultation before dispatch.
+  :func:`compile_batch` fans jobs over the supervised
+  :class:`repro.runtime.WorkerPool` with the server's job runner and
+  cache key: deterministic result ordering, per-job typed error capture
+  (a job that kills its workers ends as a :class:`PoisonJobError`) and
+  cache consultation before dispatch.
 
 - **Async server + client** (:mod:`repro.serve.server`,
   :mod:`repro.serve.client`): ``penny serve`` fronts the *supervised*

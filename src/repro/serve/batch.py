@@ -1,4 +1,4 @@
-"""The parallel batch compile driver.
+"""The compile-job path: batch compiles and the server's worker jobs.
 
 :func:`compile_batch` runs many independent compilations with the same
 contract serial code gets, at process-pool throughput:
@@ -6,8 +6,10 @@ contract serial code gets, at process-pool throughput:
 - **deterministic ordering** — results come back in job order no matter
   which worker finished first (the campaign/fuzz engines' idiom);
 - **typed per-job error capture** — a failing job yields its serialized
-  :class:`repro.core.errors.CompileError` in the :class:`JobResult`; it
-  never kills the batch or another job;
+  :class:`repro.core.errors.CompileError` in the :class:`JobResult`, and
+  a job that kills its workers yields the pool's typed
+  :class:`~repro.runtime.errors.PoisonJobError`; neither kills or hangs
+  the batch or another job;
 - **cache consultation before dispatch** — jobs whose key is already in
   the installed (or passed) :class:`repro.serve.cache.CompileCache` skip
   the pool entirely, and every miss compiled by a worker is stored back
@@ -15,9 +17,11 @@ contract serial code gets, at process-pool throughput:
 - a :class:`BatchReport` implementing the :class:`repro.obs.Reportable`
   protocol, with per-job timings for the metrics sink.
 
-Workers are plain ``multiprocessing.Pool`` processes rebuilt from pure
-data (``ptx`` text + ``PennyConfig.to_dict()``), mirroring
-:mod:`repro.gpusim.campaign`; results cross the process boundary via
+:func:`run_job` (the pool runner) and :meth:`CompileJob.cache_key` serve
+the batch and :mod:`repro.serve.server` alike.  Workers run on the
+supervised :class:`repro.runtime.WorkerPool` of the campaign and fuzz
+sweeps (chaos site ``worker.job``), rebuilt from pure data (``ptx`` text
++ ``PennyConfig.to_dict()``); results cross the process boundary via
 pickle, which is why :class:`CompileResult` pickle-safety is a tested
 invariant.
 """
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import repro.obs as obs
 from repro.core.errors import CompileError
@@ -39,8 +43,9 @@ from repro.core.pipeline import (
 from repro.core.storage import StorageBudget
 from repro.ir.parser import parse_module
 from repro.ir.printer import print_kernel
+from repro.runtime import PoolConfig, TaskRuntimeError, WorkerPool
 from repro.serve.cache import CompileCache, active_cache
-from repro.serve.key import compile_cache_key
+from repro.serve.key import CacheKey, compile_cache_key
 
 
 @dataclass(frozen=True)
@@ -73,6 +78,25 @@ class CompileJob:
             launch=LaunchConfig(**d.get("launch", {})),
             strict=bool(d.get("strict", True)),
             name=d.get("name"),
+        )
+
+    def cache_key(self) -> Optional[CacheKey]:
+        """The key ``PennyCompiler.compile`` derives for this job under
+        an installed cache (workers compile with the default budget), or
+        ``None`` when ``ptx`` does not hold exactly one kernel: such a
+        job skips the cache and fails as that job in :func:`run_job`."""
+        try:
+            module = parse_module(self.ptx)
+        except Exception:
+            return None
+        if len(module.kernels) != 1:
+            return None
+        return compile_cache_key(
+            module.kernels[0],
+            self.config,
+            launch=self.launch,
+            budget=StorageBudget(),
+            strict=self.strict,
         )
 
 
@@ -182,23 +206,28 @@ def _compile_job(job: CompileJob) -> CompileResult:
     return compiler.compile(module.kernels[0], job.launch, copy=False)
 
 
-def _worker_run(payload: Dict[str, Any]):
-    """Pool worker: returns ``(index, ok, result_or_error_dict)``."""
-    index = payload["index"]
-    job = CompileJob.from_dict(payload["job"])
+def run_job(payload: Dict[str, Any]) -> Tuple[str, Any, float]:
+    """The pool runner of every compile job (batch and server).
+
+    Compiles ``CompileJob.from_dict(payload)`` and returns ``("ok",
+    CompileResult, seconds)`` or ``("error", error_dict, seconds)``, where
+    ``seconds`` is the compile time.  It never raises: a non-compiler
+    exception is still just this job's error.  Module-level so worker
+    processes resolve it by path and tests can monkeypatch it.
+    """
+    job = CompileJob.from_dict(payload)
     start = time.perf_counter()
     try:
         result = _compile_job(job)
     except CompileError as exc:
-        return index, False, exc.to_dict(), time.perf_counter() - start
+        return "error", exc.to_dict(), time.perf_counter() - start
     except Exception as exc:  # non-compiler crash: still just this job
         return (
-            index,
-            False,
+            "error",
             {
                 "type": type(exc).__name__,
                 "message": str(exc),
-                "pass": "batch",
+                "pass": "serve",
                 "scheme": None,
                 "kernel": job.name,
                 "kernel_ptx": job.ptx,
@@ -206,20 +235,20 @@ def _worker_run(payload: Dict[str, Any]):
             },
             time.perf_counter() - start,
         )
-    return index, True, result, time.perf_counter() - start
+    return "ok", result, time.perf_counter() - start
 
 
 def compile_batch(
     jobs: Sequence[CompileJob],
     workers: int = 1,
     cache: Optional[CompileCache] = None,
-    chunksize: int = 1,
 ) -> BatchReport:
-    """Compile ``jobs`` on up to ``workers`` processes.
+    """Compile ``jobs`` on up to ``workers`` supervised processes.
 
     ``cache=None`` uses the context-installed cache (if any); pass a
-    :class:`CompileCache` to pin one explicitly.  Failed jobs yield
-    their typed error payload in ``report.results[i].error``.
+    :class:`CompileCache` to pin one explicitly.  Failed jobs — a compile
+    error, or a worker that died running the job — yield their typed
+    error payload in ``report.results[i].error``.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -232,38 +261,25 @@ def compile_batch(
 
     with obs.span("serve.batch", jobs=len(jobs), workers=workers):
         todo: List[int] = []
-        keys = {}
+        keys: Dict[int, CacheKey] = {}
         for i, job in enumerate(jobs):
-            name = job.name or f"job{i}"
-            if cache is not None:
-                # A malformed job must fail *as that job* in the worker,
-                # not abort the whole batch during key derivation.
-                try:
-                    module = parse_module(job.ptx)
-                except Exception:
-                    module = None
-                if module is not None and len(module.kernels) == 1:
-                    # Same key derivation as PennyCompiler.compile under
-                    # an installed cache (workers use the default budget).
-                    keys[i] = compile_cache_key(
-                        module.kernels[0],
-                        job.config,
-                        launch=job.launch,
-                        budget=StorageBudget(),
-                        strict=job.strict,
+            key = job.cache_key() if cache is not None else None
+            if key is not None:
+                hit = cache.get(key)
+                if hit is not None:
+                    hits += 1
+                    name = job.name or f"job{i}"
+                    results[i] = JobResult(
+                        index=i, name=name, result=hit, cached=True
                     )
-                    hit = cache.get(keys[i])
-                    if hit is not None:
-                        hits += 1
-                        results[i] = JobResult(
-                            index=i, name=name, result=hit, cached=True
-                        )
-                        obs.event("batch.job", job=name, cached=True)
-                        continue
+                    obs.event("batch.job", job=name, cached=True)
+                    continue
+                keys[i] = key
             todo.append(i)
 
-        for index, ok, payload, seconds in _execute(jobs, todo, workers, chunksize):
+        for index, (status, payload, seconds) in _outcomes(jobs, todo, workers):
             name = jobs[index].name or f"job{index}"
+            ok = status == "ok"
             with obs.span(
                 "batch.job", job=name, ok=ok, seconds=round(seconds, 6)
             ):
@@ -274,7 +290,7 @@ def compile_batch(
                         result=payload,
                         seconds=seconds,
                     )
-                    if cache is not None and index in keys:
+                    if index in keys:
                         cache.put(keys[index], payload)
                 else:
                     obs.inc("batch.job_failures")
@@ -296,24 +312,26 @@ def compile_batch(
     return report
 
 
-def _execute(
-    jobs: Sequence[CompileJob],
-    todo: Sequence[int],
-    workers: int,
-    chunksize: int,
-):
-    """Yield ``(index, ok, payload, seconds)`` for every job in ``todo``
-    (arrival order; the caller re-sorts by slot)."""
+def _outcomes(
+    jobs: Sequence[CompileJob], todo: Sequence[int], workers: int
+) -> Iterator[Tuple[int, Tuple[str, Any, float]]]:
+    """Yield ``(index, run_job outcome)`` for every job in ``todo``
+    (arrival order; the caller re-sorts by slot).  A job whose workers
+    died past the pool's retry budget ends as ``("error",
+    exc.to_dict(), 0.0)``."""
     if workers <= 1 or len(todo) <= 1:
         for i in todo:
-            yield _worker_run({"index": i, "job": jobs[i].to_dict()})
+            yield i, run_job(jobs[i].to_dict())
         return
-    import multiprocessing as mp
-
-    ctx = mp.get_context()
-    payloads = [{"index": i, "job": jobs[i].to_dict()} for i in todo]
-    with ctx.Pool(processes=min(workers, len(todo))) as pool:
-        for record in pool.imap_unordered(
-            _worker_run, payloads, chunksize=chunksize
+    config = PoolConfig(
+        workers=min(workers, len(todo)),
+        runner="repro.serve.batch:run_job",
+        tick=0.005,
+    )
+    with WorkerPool(config) as pool:
+        for key, outcome in pool.imap_supervised(
+            (str(i), jobs[i].to_dict()) for i in todo
         ):
-            yield record
+            if isinstance(outcome, TaskRuntimeError):
+                outcome = ("error", outcome.to_dict(), 0.0)
+            yield int(key), outcome

@@ -75,7 +75,7 @@ from typing import Any, Dict, Optional, Tuple, Union
 import repro.obs as obs
 from repro.core.pipeline import PennyConfig
 from repro.ir.printer import print_kernel
-from repro.serve.batch import CompileJob, _compile_job
+from repro.serve.batch import CompileJob
 from repro.serve.cache import DEFAULT_MEMORY_BYTES, CompileCache
 from repro.serve.chaos import SITE_CONN_SEND, active_chaos
 from repro.runtime import PoolConfig, TaskRuntimeError, WorkerPool
@@ -85,7 +85,6 @@ from repro.serve.errors import (
     ServeError,
     ServerBusy,
 )
-from repro.serve.key import compile_cache_key
 
 
 @dataclass
@@ -131,33 +130,6 @@ class ServerStats:
             "errors": self.errors,
             "protocol_errors": self.protocol_errors,
             "coalesced": self.coalesced,
-        }
-
-
-def _execute_request(payload: Dict[str, Any]) -> Tuple[str, Any]:
-    """Pool entry point: compile one serialized job.
-
-    Returns ``("ok", CompileResult)`` or ``("error", error_dict)`` —
-    exceptions never cross the worker boundary untyped.  Module-level
-    (not a method) so worker processes can resolve it by path and tests
-    can monkeypatch it.
-    """
-    from repro.core.errors import CompileError
-
-    job = CompileJob.from_dict(payload)
-    try:
-        return "ok", _compile_job(job)
-    except CompileError as exc:
-        return "error", exc.to_dict()
-    except Exception as exc:
-        return "error", {
-            "type": type(exc).__name__,
-            "message": str(exc),
-            "pass": "serve",
-            "scheme": None,
-            "kernel": job.name,
-            "kernel_ptx": job.ptx,
-            "detail": {},
         }
 
 
@@ -208,7 +180,7 @@ class CompileServer:
         cfg = self.config
         self._pool = WorkerPool(
             PoolConfig(
-                runner="repro.serve.server:_execute_request",
+                runner="repro.serve.batch:run_job",
                 workers=max(1, cfg.workers),
                 use_threads=cfg.use_threads,
                 job_timeout=cfg.request_timeout + cfg.job_timeout_grace,
@@ -450,7 +422,7 @@ class CompileServer:
         job: CompileJob,
         started: float,
     ) -> Tuple[Optional[Dict[str, Any]], Optional[bytes]]:
-        key = _key_for_job(job)
+        key = job.cache_key()
         digest = key.digest if key is not None else None
 
         # Coalesce onto an identical in-flight compile *before* the
@@ -496,7 +468,7 @@ class CompileServer:
         digest = key.digest if key is not None else None
         future = self._pool.submit(job.to_dict(), key=digest)
         try:
-            status, payload = await asyncio.wait_for(
+            status, payload, _ = await asyncio.wait_for(
                 asyncio.wrap_future(future),
                 timeout=self.config.request_timeout,
             )
@@ -656,25 +628,6 @@ def _job_from_request(req: Dict[str, Any]) -> CompileJob:
         launch=launch,
         strict=bool(req.get("strict", True)),
         name=req.get("name"),
-    )
-
-
-def _key_for_job(job: CompileJob):
-    from repro.core.storage import StorageBudget
-    from repro.ir.parser import parse_module
-
-    try:
-        module = parse_module(job.ptx)
-    except Exception:
-        return None  # the worker will fail the job with a typed error
-    if len(module.kernels) != 1:
-        return None
-    return compile_cache_key(
-        module.kernels[0],
-        job.config,
-        launch=job.launch,
-        budget=StorageBudget(),
-        strict=job.strict,
     )
 
 

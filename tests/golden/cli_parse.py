@@ -56,14 +56,12 @@ _BATCH = ["--jobs", "3", "--cache-dir", "cache"]
 #: argv per case; every subcommand bare and with all of its flags
 CASES: Dict[str, List[str]] = {
     "compile/bare": ["compile", "k.ptx"],
-    "compile/all": ["compile", "k.ptx", *_CONFIG, *_BATCH,
-                    "--backend", "scalar", *_OBSERVE],
+    "compile/all": ["compile", "k.ptx", *_CONFIG, *_BATCH, *_OBSERVE],
     "compile/stdin-overwrite-alias": ["compile", "-", "--overwrite",
                                       "renaming", "--scheme",
                                       "Bolt/Auto_storage"],
     "report/bare": ["report", "k.ptx"],
-    "report/all": ["report", "k.ptx", *_CONFIG, *_BATCH,
-                   "--backend", "vector"],
+    "report/all": ["report", "k.ptx", *_CONFIG, *_BATCH],
     "verify/bare": ["verify"],
     "verify/input": ["verify", "k.ptx"],
     "verify/all": ["verify", "k.ptx", *_CONFIG, *_BATCH,
@@ -146,6 +144,8 @@ CASES: Dict[str, List[str]] = {
     "reject/lint-jobs": ["lint", "--jobs", "2"],
     "reject/lint-no-strict": ["lint", "--no-strict"],
     "reject/lint-backend": ["lint", "--backend", "scalar"],
+    "reject/compile-backend": ["compile", "k", "--backend", "scalar"],
+    "reject/report-backend": ["report", "k", "--backend", "vector"],
     "reject/cache-jobs": ["cache", "stats", "--jobs", "2"],
     "reject/cache-workers": ["cache", "stats", "--workers", "2"],
     "reject/schemes-json": ["schemes", "--json"],

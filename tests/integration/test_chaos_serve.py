@@ -292,8 +292,8 @@ class TestCoalescing:
         release = threading.Event()
         calls = []
         real_execute = __import__(
-            "repro.serve.server", fromlist=["_execute_request"]
-        )._execute_request
+            "repro.serve.batch", fromlist=["run_job"]
+        ).run_job
 
         def gated(payload):
             calls.append(payload.get("name"))
@@ -301,7 +301,7 @@ class TestCoalescing:
             return real_execute(payload)
 
         monkeypatch.setattr(
-            "repro.serve.server._execute_request", gated
+            "repro.serve.batch.run_job", gated
         )
         tracer = Tracer(record_spans=False)
         server = _start_server(
@@ -335,6 +335,11 @@ class TestCoalescing:
                 assert (
                     time.monotonic() < deadline
                 ), f"coalesced={server.stats.coalesced}"
+                time.sleep(0.01)
+            # The leader's runner starts on a pool thread of its own;
+            # wait for its call before counting.
+            while not calls:
+                assert time.monotonic() < deadline, "leader never ran"
                 time.sleep(0.01)
             assert len(calls) == 1, "followers must not dispatch"
             release.set()
@@ -372,7 +377,7 @@ class TestCoalescing:
         """The pooled (4 process workers) server's compile output equals
         the in-process serial compile, byte for byte."""
         from repro.ir.printer import print_kernel
-        from repro.serve.server import _execute_request
+        from repro.serve.batch import run_job
 
         payload = {
             "ptx": PTX,
@@ -391,7 +396,7 @@ class TestCoalescing:
             strict=True,
             name="axpy",
         )
-        status, serial_result = _execute_request(job.to_dict())
+        status, serial_result, _ = run_job(job.to_dict())
         assert status == "ok"
         serial_kernel = print_kernel(serial_result.kernel)
         serial_dict = serial_result.to_dict()

@@ -3,7 +3,7 @@ drain, and the client's retry discipline.
 
 The in-process tests run the server on a daemon thread with a *thread*
 pool (``use_threads=True``) so the executor entry point
-(``repro.serve.server._execute_request``) can be monkeypatched with
+(``repro.serve.batch.run_job``) can be monkeypatched with
 slow/instrumented doubles.  The SIGTERM drain test exercises the real
 ``penny serve`` process.
 """
@@ -162,9 +162,9 @@ def _install_slow_executor(monkeypatch, release: threading.Event):
             "kernel": payload.get("name"),
             "kernel_ptx": payload.get("ptx", ""),
             "detail": {},
-        }
+        }, 0.0
 
-    monkeypatch.setattr("repro.serve.server._execute_request", slow)
+    monkeypatch.setattr("repro.serve.batch.run_job", slow)
     return calls
 
 
@@ -346,16 +346,16 @@ def test_client_retries_until_server_appears():
 
 
 def test_client_retries_busy_then_succeeds(server, monkeypatch):
-    import repro.serve.server as server_mod
+    import repro.serve.batch as batch_mod
 
-    real_execute = server_mod._execute_request
+    real_execute = batch_mod.run_job
     release = threading.Event()
 
     def gated(payload):
         release.wait(timeout=10.0)
         return real_execute(payload)
 
-    monkeypatch.setattr("repro.serve.server._execute_request", gated)
+    monkeypatch.setattr("repro.serve.batch.run_job", gated)
 
     hogs = []
     try:

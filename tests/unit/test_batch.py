@@ -2,13 +2,19 @@
 
 The acceptance bar: ``compile_batch(jobs, workers=4)`` must produce
 results ``to_dict()``-identical to a serial run, a failing job must
-yield its typed error without killing the batch, and a warm second run
-must be served from the cache.
+yield its typed error without killing the batch, a job that kills its
+workers must end as a typed error instead of hanging the batch, and a
+warm second run must be served from the cache.
 """
+
+import os
+import signal
+import threading
 
 import pytest
 
 from repro.core.pipeline import LaunchConfig, PennyConfig
+from repro.obs import Tracer
 from repro.obs.export import validate_metrics_record
 from repro.serve.batch import (
     BatchReport,
@@ -17,6 +23,7 @@ from repro.serve.batch import (
     jobs_from_source,
 )
 from repro.serve.cache import CompileCache
+from repro.serve.chaos import ChaosEngine, ChaosPlan
 
 KERNEL_TEMPLATE = """
 .entry k{i} (.param .ptr A, .param .u32 n) {{
@@ -150,3 +157,87 @@ def test_report_is_reportable():
 def test_workers_must_be_positive():
     with pytest.raises(ValueError):
         compile_batch([], workers=0)
+
+
+# -- worker deaths ------------------------------------------------------------
+
+
+def _compile_dicts(report):
+    return [r.result.to_dict() if r.ok else None for r in report.results]
+
+
+def test_job_that_kills_its_workers_fails_alone(monkeypatch):
+    """A job whose compile SIGKILLs whichever worker runs it ends as a
+    typed poison error; the batch returns and every other job equals a
+    serial run."""
+    import repro.serve.batch as batch_mod
+
+    jobs = _jobs(4)
+    serial = compile_batch(jobs, workers=1, cache=None)
+    parent = os.getpid()
+    real_compile = batch_mod._compile_job
+
+    def killer(job):
+        if job.name == "k2" and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_compile(job)
+
+    monkeypatch.setattr(batch_mod, "_compile_job", killer)
+    # Run on a daemon thread, so a batch that waits forever on its dead
+    # worker fails this bound instead of hanging the suite.
+    reports = []
+    thread = threading.Thread(
+        target=lambda: reports.append(
+            compile_batch(jobs, workers=2, cache=None)
+        ),
+        daemon=True,
+    )
+    thread.start()
+    thread.join(timeout=60.0)
+    assert reports, "compile_batch did not return within 60 s"
+    report = reports[0]
+    assert [r.ok for r in report.results] == [True, True, False, True]
+    assert report.results[2].error["type"] == "PoisonJobError"
+    expected = _compile_dicts(serial)
+    expected[2] = None
+    assert _compile_dicts(report) == expected
+
+
+def test_chaos_worker_kill_is_retried():
+    """``worker.kill`` reaches batch workers: the killed job is retried,
+    so the batch equals a serial run job for job."""
+    from repro.bench import get_benchmark
+    from repro.ir.printer import print_kernel
+
+    # NQU's ~0.4 s compile keeps the pool running past the killed
+    # worker's restart backoff.
+    jobs = _jobs(3) + [
+        CompileJob(
+            ptx=print_kernel(get_benchmark("NQU").fresh_kernel()),
+            config=PennyConfig(),
+            name="NQU",
+        )
+    ]
+    serial = compile_batch(jobs, workers=1, cache=None)
+    tracer = Tracer(record_spans=False)
+    plan = ChaosPlan.parse("worker.kill:p=1:max=1", seed=7)
+    with tracer, ChaosEngine(plan) as chaos:
+        parallel = compile_batch(jobs, workers=2, cache=None)
+    assert chaos.injected_counts() == {"worker.kill": 1}
+    assert all(r.ok for r in parallel.results)
+    assert _compile_dicts(parallel) == _compile_dicts(serial)
+    assert tracer.counters.counts.get("pool.restarts", 0) >= 1
+
+
+def test_cli_jobs_prints_what_serial_prints(tmp_path, capsys):
+    from repro.cli import main
+
+    path = tmp_path / "two.ptx"
+    path.write_text(_module(2))
+    outputs = []
+    for jobs in ("1", "2"):
+        argv = ["compile", str(path), "--block", "32", "--grid", "2"]
+        assert main(argv + ["--jobs", jobs]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert ".entry k1" in outputs[0]
+    assert outputs[1] == outputs[0]
