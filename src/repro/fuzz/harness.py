@@ -276,7 +276,6 @@ class FuzzRunner:
             job_timeout=self.wall_timeout,
             poison_threshold=self.poison_threshold,
             chaos_site="campaign.worker",
-            tick=0.005,
         )
         spec_dict = self.spec.to_dict()
         jobs = ((str(i), {"spec": spec_dict, "index": i}) for i in todo)

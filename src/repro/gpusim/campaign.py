@@ -1306,7 +1306,6 @@ class ParallelCampaign:
             job_timeout=self.wall_timeout,
             poison_threshold=self.poison_threshold,
             chaos_site="campaign.worker",
-            tick=0.005,
         )
         spec_dict = self.spec.to_dict()
         jobs = (

@@ -8,11 +8,11 @@ applies the paper's inject→detect→recover discipline to the sweep
 machinery itself:
 
 - **detect** — every worker slot is watched by a supervisor thread:
-  process liveness per tick, per-worker heartbeats (a stalled-but-alive
-  process is treated as dead), and a per-job busy deadline (a hung task
-  is reclaimed, not leaked — this wall-clock deadline is distinct from
-  the simulator's instruction-budget watchdog, which cannot fire when
-  the *worker* is wedged);
+  process exit (the process's sentinel), per-worker heartbeats (a
+  stalled-but-alive process is treated as dead), and a per-job busy
+  deadline (a hung task is reclaimed, not leaked — this wall-clock
+  deadline is distinct from the simulator's instruction-budget
+  watchdog, which cannot fire when the *worker* is wedged);
 - **contain** — a crash takes down exactly one task attempt.  The task
   is retried on another worker; a task whose attempts kill
   ``poison_threshold`` consecutive workers is failed with a typed
@@ -22,11 +22,23 @@ machinery itself:
   (``restart_backoff_base * 2^consecutive_crashes``, capped), and a
   worker that completes a task resets its slot's backoff.
 
-Each worker owns a private inbox *and* a private result queue: a worker
-SIGKILLed mid-``put`` can corrupt at most its own queue, which is
-discarded on restart — the supervisor's view of every other worker stays
-intact (this is why the pool does not share one results queue the way
+Each worker owns a private inbox *and* a private result channel (a
+pipe for a process, a queue for a thread): a worker SIGKILLed mid-post
+can corrupt at most its own channel, which is discarded on restart —
+the supervisor's view of every other worker stays intact (this is why
+the pool does not share one results queue the way
 ``multiprocessing.Pool`` does).
+
+The supervisor is event-driven.  It sleeps in
+:func:`multiprocessing.connection.wait` on a self-pipe that ``submit``
+and ``shutdown`` write (a thread worker writes it too, after each
+post) and, in process mode, on each live worker's result pipe and
+process sentinel.  The sleep ends no later than the earliest deadline
+it tracks: a dead slot's restart, a busy job's timeout, a process's
+heartbeat.  So a result reaches its future, and its worker gets the
+next job, as soon as the result is posted.  A ``_BACKSTOP`` poll bounds
+every sleep, for the one event no handle signals: a thread worker's
+exit.
 
 Jobs are dispatched one at a time per worker, so the supervisor always
 knows *which* task a dead worker was running.  Results are delivered on
@@ -93,6 +105,11 @@ from repro.runtime.errors import PoisonJobError, WorkerCrashError
 #: sweep engines override it via :attr:`PoolConfig.chaos_site`
 DEFAULT_CHAOS_SITE = "worker.job"
 
+#: the longest the supervisor sleeps (seconds); every other event wakes
+#: it at once, so this bounds only how late a thread worker's exit is
+#: seen (a thread has no sentinel)
+_BACKSTOP = 0.02
+
 
 @dataclass
 class PoolConfig:
@@ -114,8 +131,6 @@ class PoolConfig:
     poison_threshold: int = 2
     restart_backoff_base: float = 0.05
     restart_backoff_cap: float = 2.0
-    #: supervisor tick (liveness / dispatch / restart cadence)
-    tick: float = 0.02
     #: chaos site consulted once per dispatch
     chaos_site: str = DEFAULT_CHAOS_SITE
 
@@ -165,29 +180,45 @@ def _worker_main(
     outbox,
     runner_path: str,
     heartbeat_interval: float,
-    is_process: bool,
+    wake,
 ) -> None:
     """One worker's loop: take a job envelope, run it, report the result.
 
-    Runs as a forked/spawned process (``is_process=True``) or a daemon
-    thread.  The runner's contract is to *return* its outcome, never
-    raise; anything that escapes anyway is reported as a typed error
-    payload so a worker bug does not look like a crash.
+    Runs as a forked/spawned process (``wake`` is ``None``) or a daemon
+    thread.  A process posts on the write end of its private pipe, which
+    the supervisor waits on; its beat thread and main loop share one
+    send lock so their frames never interleave.  A thread posts on its
+    queue and then calls ``wake`` to rouse the supervisor.  The runner's
+    contract is to *return* its outcome, never raise; anything that
+    escapes anyway is reported as a typed error payload so a worker bug
+    does not look like a crash.
     """
+    is_process = wake is None
     if is_process:
+        send_lock = threading.Lock()
         stop = threading.Event()
+
+        def post(msg) -> None:
+            with send_lock:
+                outbox.send(msg)
 
         def beat() -> None:
             while not stop.is_set():
                 try:
-                    outbox.put(("hb", generation))
+                    post(("hb", generation))
                 except Exception:
                     return
                 stop.wait(heartbeat_interval)
 
         threading.Thread(target=beat, daemon=True).start()
+    else:
+
+        def post(msg) -> None:
+            outbox.put(msg)
+            wake()
+
     try:
-        outbox.put(("ready", generation))
+        post(("ready", generation))
         while True:
             msg = inbox.get()
             if msg is None:
@@ -210,10 +241,49 @@ def _worker_main(
                         "detail": {},
                     },
                 )
-            outbox.put(("done", generation, job_id, result))
+            post(("done", generation, job_id, result))
     finally:
         if is_process:
             stop.set()
+
+
+class _Waker:
+    """The supervisor's self-pipe: :meth:`wake`, from any thread, makes
+    the read end readable, so a ``connection.wait`` that includes it
+    returns at once; :meth:`drain` rearms it."""
+
+    def __init__(self) -> None:
+        self._r, self._w = os.pipe()
+        os.set_blocking(self._r, False)
+        os.set_blocking(self._w, False)
+        # Serializes wake() against close(): a write racing the close
+        # could land on a descriptor number the process has reused.
+        self._lock = threading.Lock()
+
+    def fileno(self) -> int:
+        return self._r
+
+    def wake(self) -> None:
+        with self._lock:
+            if self._w is None:
+                return  # the supervisor has exited
+            try:
+                os.write(self._w, b"\0")
+            except BlockingIOError:
+                pass  # the pipe is full: a wake is already pending
+
+    def drain(self) -> None:
+        try:
+            while os.read(self._r, 4096):
+                pass
+        except BlockingIOError:
+            pass
+
+    def close(self) -> None:
+        with self._lock:
+            os.close(self._w)
+            os.close(self._r)
+            self._w = None
 
 
 # -- supervisor side -------------------------------------------------------------
@@ -300,7 +370,7 @@ class WorkerPool:
         self._quarantine: set = set()
         self._strikes: Dict[str, int] = {}
         self._lock = threading.RLock()
-        self._wake = threading.Event()
+        self._waker: Optional[_Waker] = None
         self._stopping = False
         self._started = False
         self._job_ids = itertools.count(1)
@@ -313,6 +383,7 @@ class WorkerPool:
         if self._started:
             return self
         self._started = True
+        self._waker = _Waker()
         if not self.config.use_threads:
             import multiprocessing as mp
 
@@ -342,7 +413,8 @@ class WorkerPool:
             for job in self._inflight.values():
                 job.future.cancel()
             self._inflight.clear()
-        self._wake.set()
+        # The supervisor closes the self-pipe as it exits.
+        self._waker.wake()
         if self._supervisor is not None and wait:
             self._supervisor.join(timeout=timeout)
         for slot in self._slots:
@@ -412,7 +484,7 @@ class WorkerPool:
                 future=future,
             )
             self._pending.append(job)
-        self._wake.set()
+        self._waker.wake()
         return future
 
     def imap_supervised(
@@ -494,6 +566,7 @@ class WorkerPool:
         if self.config.use_threads:
             slot.inbox = thread_queue.Queue()
             slot.outbox = thread_queue.Queue()
+            writer = None
             proc = threading.Thread(
                 target=_worker_main,
                 args=(
@@ -503,24 +576,24 @@ class WorkerPool:
                     slot.outbox,
                     self.config.runner,
                     self.config.heartbeat_interval,
-                    False,
+                    self._waker.wake,
                 ),
                 name=f"penny-worker-{slot.id}",
                 daemon=True,
             )
         else:
             slot.inbox = self._mp_ctx.Queue()
-            slot.outbox = self._mp_ctx.Queue()
+            slot.outbox, writer = self._mp_ctx.Pipe(duplex=False)
             proc = self._mp_ctx.Process(
                 target=_worker_main,
                 args=(
                     slot.id,
                     slot.generation,
                     slot.inbox,
-                    slot.outbox,
+                    writer,
                     self.config.runner,
                     self.config.heartbeat_interval,
-                    True,
+                    None,
                 ),
                 name=f"penny-worker-{slot.id}",
                 daemon=True,
@@ -531,6 +604,11 @@ class WorkerPool:
         slot.busy_since = None
         slot.last_seen = time.monotonic()
         proc.start()
+        if writer is not None:
+            # The worker now holds the only write end, so its death
+            # reads as EOF: a frame torn by a SIGKILL cannot block
+            # the supervisor's recv.
+            writer.close()
         if not initial:
             self.metrics.restarts += 1
             obs.inc("pool.restarts")
@@ -544,18 +622,53 @@ class WorkerPool:
     # -- the supervisor loop ---------------------------------------------------
 
     def _supervise(self) -> None:
-        while True:
-            self._wake.wait(self.config.tick)
-            self._wake.clear()
-            with self._lock:
-                if self._stopping:
-                    return
-                now = time.monotonic()
-                for slot in self._slots:
-                    self._drain_outbox(slot, now)
-                for slot in self._slots:
-                    self._check_slot(slot, now)
-                self._dispatch(now)
+        # Imported here, as multiprocessing is in start(), to keep it
+        # out of the import of every module that imports the pool.
+        from multiprocessing import connection
+
+        # Each pass handles whatever woke it, then sleeps until a wake
+        # source fires or the earliest deadline is due (_wait_set).
+        try:
+            while True:
+                self._waker.drain()
+                with self._lock:
+                    if self._stopping:
+                        return
+                    now = time.monotonic()
+                    for slot in self._slots:
+                        self._drain_outbox(slot, now)
+                    for slot in self._slots:
+                        self._check_slot(slot, now)
+                    self._dispatch(now)
+                    handles, deadline = self._wait_set(now)
+                connection.wait(
+                    handles, max(0.0, deadline - time.monotonic())
+                )
+        finally:
+            self._waker.close()
+
+    def _wait_set(self, now: float) -> Tuple[List[Any], float]:
+        """What the supervisor sleeps on, and the monotonic time by
+        which it must wake: the earliest restart, busy or heartbeat
+        deadline, and never later than ``now + _BACKSTOP``."""
+        cfg = self.config
+        handles: List[Any] = [self._waker]
+        deadline = now + _BACKSTOP
+        for slot in self._slots:
+            if slot.state == _DEAD:
+                # Not its handles: a dead process's sentinel and pipe
+                # stay readable, which would spin the loop until the
+                # restart is due.
+                deadline = min(deadline, slot.restart_at)
+                continue
+            if not cfg.use_threads:
+                handles += (slot.outbox, slot.proc.sentinel)
+                deadline = min(
+                    deadline, slot.last_seen + cfg.heartbeat_timeout
+                )
+            if slot.state == _BUSY and cfg.job_timeout is not None:
+                deadline = min(deadline, slot.busy_since + cfg.job_timeout)
+        return handles, deadline
 
     def _drain_outbox(self, slot: _Slot, now: float) -> None:
         outbox = slot.outbox
@@ -563,13 +676,18 @@ class WorkerPool:
             return
         while True:
             try:
-                msg = outbox.get_nowait()
+                if self.config.use_threads:
+                    msg = outbox.get_nowait()
+                elif outbox.poll():
+                    msg = outbox.recv()
+                else:
+                    return
             except thread_queue.Empty:
                 return
             except Exception:
-                # A worker SIGKILLed mid-put can corrupt its own queue;
-                # its death is detected via liveness, so just stop
-                # reading this incarnation's stream.
+                # A worker SIGKILLed mid-post leaves a torn frame (read
+                # as EOF) in its own pipe; its death is seen through
+                # its sentinel, so just stop reading this incarnation.
                 return
             try:
                 kind = msg[0]

@@ -326,7 +326,6 @@ def _outcomes(
     config = PoolConfig(
         workers=min(workers, len(todo)),
         runner="repro.serve.batch:run_job",
-        tick=0.005,
     )
     with WorkerPool(config) as pool:
         for key, outcome in pool.imap_supervised(

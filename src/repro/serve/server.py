@@ -51,8 +51,8 @@ Scale and robustness properties:
 
 Chaos: with a :class:`repro.serve.chaos.ChaosEngine` installed, the
 response path consults the ``conn.drop`` site before writing (the
-connection is closed instead — the client's retry path), the pool
-consults ``worker.job`` at dispatch, and the cache consults
+connection is shut down and closed instead — the client's retry path),
+the pool consults ``worker.job`` at dispatch, and the cache consults
 ``cache.store``/``cache.read``.
 
 Observability: ``serve.request`` spans, ``serve.requests`` /
@@ -211,7 +211,7 @@ class CompileServer:
             # the loop tears down (silences cancelled-task noise).
             for writer in list(self._connections):
                 try:
-                    writer.close()
+                    _hang_up(writer)
                 except Exception:
                     pass
             handlers = list(self._handlers)
@@ -292,7 +292,7 @@ class CompileServer:
             if task is not None:
                 self._handlers.discard(task)
             try:
-                writer.close()
+                _hang_up(writer)
                 await writer.wait_closed()
             except Exception:
                 pass
@@ -593,7 +593,7 @@ class CompileServer:
             )
             if rule is not None:
                 try:
-                    writer.close()
+                    _hang_up(writer)
                 except Exception:
                     pass
                 return False
@@ -603,6 +603,18 @@ class CompileServer:
         )
         await writer.drain()
         return True
+
+
+def _hang_up(writer: asyncio.StreamWriter) -> None:
+    """Close a connection the server is done with, sending the FIN
+    first: a worker forked while the connection was open holds a copy
+    of its socket, so ``close`` alone would leave the client waiting
+    out its timeout."""
+    try:
+        writer.write_eof()
+    except OSError:
+        pass  # the peer is already gone
+    writer.close()
 
 
 def _job_from_request(req: Dict[str, Any]) -> CompileJob:

@@ -19,6 +19,7 @@ import json
 import socket
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -60,6 +61,8 @@ EXIT:
 """
 
 PTX = PTX_TEMPLATE.format(tag="", mult=3)
+
+VECADD = Path(__file__).resolve().parents[2] / "examples" / "vecadd.ptx"
 
 
 def _ptx(i: int) -> str:
@@ -273,6 +276,37 @@ class TestChaosInvariant:
             assert response["ok"]
             assert chaos.injected_counts() == {"conn.drop": 1}
             assert server.stats.requests >= 2
+        finally:
+            _stop(server)
+
+    def test_dropped_connection_answers_after_a_worker_respawn(self):
+        """The worker respawned after a kill is forked while the
+        client's connection is open, so it holds a copy of the socket;
+        the dropped response must still reach the client as EOF, so
+        its retry runs at once instead of after its 20 s timeout."""
+        plan = ChaosPlan.parse(
+            "worker.kill:p=1:max=1,conn.drop:p=1:max=1", seed=1
+        )
+        chaos = ChaosEngine(plan)
+        server = _start_server(ServeConfig(port=0, workers=1), chaos=chaos)
+        try:
+            client = CompileClient(
+                port=server.port,
+                timeout=20.0,
+                retry=RetryPolicy(attempts=2, base_delay=0.01),
+            )
+            started = time.monotonic()
+            response = client.compile(
+                VECADD.read_text(), scheme="Penny", name="vecadd"
+            )
+            elapsed = time.monotonic() - started
+            assert response["ok"] and response["cached"]
+            assert chaos.injected_counts() == {
+                "worker.kill": 1,
+                "conn.drop": 1,
+            }
+            assert server._pool.metrics.restarts == 1
+            assert elapsed < 5.0, f"the call took {elapsed:.1f} s"
         finally:
             _stop(server)
 

@@ -7,6 +7,7 @@ children inherit ``sys.modules``, and the runner is resolved by its
 the same supervisor logic without process machinery.
 """
 
+import gc
 import os
 import sys
 import time
@@ -14,6 +15,7 @@ import types
 
 import pytest
 
+import repro.runtime.pool as pool_module
 from repro.runtime import (
     PoisonJobError,
     PoolConfig,
@@ -218,6 +220,72 @@ def test_thread_mode_hang_is_abandoned_not_killed():
             "ok",
             {"echo": 3},
         )
+
+
+# -- event-driven supervision -----------------------------------------------------
+
+
+@pytest.fixture
+def slow_backstop(monkeypatch):
+    """A 30 s backstop poll: a case that finishes well inside it shows
+    that the supervisor woke on events, not on the poll."""
+    monkeypatch.setattr(pool_module, "_BACKSTOP", 30.0)
+
+
+@pytest.mark.parametrize("use_threads", [False, True])
+def test_each_result_wakes_the_supervisor(slow_backstop, use_threads):
+    started = time.monotonic()
+    with _pool(workers=1, use_threads=use_threads) as pool:
+        for i in range(10):
+            assert pool.submit({"x": i}, key=f"k{i}").result(
+                timeout=5
+            ) == ("ok", {"echo": i})
+    assert time.monotonic() - started < 5.0
+
+
+def test_worker_exit_and_restart_deadline_wake_the_supervisor(
+    slow_backstop,
+):
+    """The crash is seen through the process sentinel and the respawn
+    runs when its backoff deadline is due, twice over, with no poll."""
+    started = time.monotonic()
+    with _pool(workers=1) as pool:
+        with pytest.raises(PoisonJobError):
+            pool.submit({"action": "crash"}, key="killer").result(timeout=5)
+        assert pool.submit({"x": 1}, key="next").result(timeout=5) == (
+            "ok",
+            {"echo": 1},
+        )
+        assert pool.metrics.crashes == 2
+    assert time.monotonic() - started < 5.0
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+)
+@pytest.mark.parametrize("use_threads", [False, True])
+def test_pools_leave_no_descriptor_behind(use_threads):
+    """Batch compiles and campaigns build one pool per call, so a
+    descriptor a pool leaks would pile up.  A process pool's inbox
+    queues close their pipes on their feeder threads, hence the short
+    settling wait."""
+
+    def open_fds():
+        gc.collect()
+        return len(os.listdir("/proc/self/fd"))
+
+    before = open_fds()
+    for i in range(20):
+        with _pool(workers=1, use_threads=use_threads) as pool:
+            assert pool.submit({"x": i}, key="k").result(timeout=15) == (
+                "ok",
+                {"echo": i},
+            )
+    del pool
+    deadline = time.monotonic() + 5.0
+    while open_fds() != before and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert open_fds() == before
 
 
 # -- health -----------------------------------------------------------------------
