@@ -241,13 +241,20 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     from repro.core.verify import verify_compiled
 
-    _apply_backend(args)
     if args.corpus:
+        _apply_backend(args)
         return _verify_corpus(args)
     if not args.input:
         print("verify: an input file or --corpus is required",
               file=sys.stderr)
         return 2
+    # Compiling a file simulates nothing and replays no finding.
+    for flag, given in (("--backend", args.backend != "auto"),
+                        ("--strict", args.strict)):
+        if given:
+            print(f"verify: {flag} acts only with --corpus",
+                  file=sys.stderr)
+            return 2
 
     status = 0
     for result in _compile_all(args):

@@ -119,3 +119,18 @@ def test_stdin_input(monkeypatch, capsys):
 def test_verify_subcommand(ptx_file, capsys):
     assert main(["verify", ptx_file, "--block", "32", "--grid", "2"]) == 0
     assert "verified clean" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flags", (["--backend", "scalar"], ["--strict"]), ids=lambda f: f[0]
+)
+def test_verify_rejects_corpus_only_flags_without_corpus(
+    ptx_file, flags, capsys, monkeypatch
+):
+    from repro.gpusim.backend import BACKEND_ENV_VAR
+
+    monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+    assert main(["verify", ptx_file, *flags]) == 2
+    captured = capsys.readouterr()
+    assert flags[0] in captured.err
+    assert "verified clean" not in captured.out
