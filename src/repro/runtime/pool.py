@@ -440,6 +440,17 @@ class WorkerPool:
                         proc.join(0.5)
                     except Exception:
                         pass
+            if not self.config.use_threads:
+                # An inbox queue closes its pipe on its feeder thread,
+                # which otherwise runs only once the pool is collected.
+                # A worker that exited cleanly read its inbox dry, so
+                # joining that feeder cannot block.
+                for slot in self._slots:
+                    if slot.inbox is None:
+                        continue
+                    slot.inbox.close()
+                    if slot.proc is not None and slot.proc.exitcode == 0:
+                        slot.inbox.join_thread()
 
     def __enter__(self) -> "WorkerPool":
         return self.start()
