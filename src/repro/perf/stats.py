@@ -87,7 +87,9 @@ def trimmed_mean(samples: Sequence[float], trim: float = 0.1) -> float:
     xs = sorted(samples)
     k = int(len(xs) * trim)
     kept = xs[k : len(xs) - k] if k else xs
-    return sum(kept) / len(kept)
+    # The exact mean lies in [kept[0], kept[-1]]; rounding in the sum
+    # can put the float one ulp outside (three equal samples can).
+    return min(max(sum(kept) / len(kept), kept[0]), kept[-1])
 
 
 # -- t distribution without scipy -------------------------------------------------
