@@ -14,8 +14,9 @@ Configuration knobs mirror the paper's evaluated variants:
                  ``"optimal"`` (§6.4)
 ``storage_mode`` ``"shared"``, ``"global"``, or ``"auto"`` (§6.5)
 ``overwrite``    ``"rr"`` (renaming first), ``"sa"`` (2-coloring only),
-                 ``"auto"`` (compile both, keep the cheaper — §6.3), or
-                 ``"none"`` (no protection; Fig. 11's last bar)
+                 ``"auto"`` (compile both, keep the cheaper — §6.3; SA
+                 only when renaming renamed a web), or ``"none"`` (no
+                 protection; Fig. 11's last bar)
 ``low_opts``     §6.6 address-computation LICM/CSE on checkpoint stores
 ===============  ==========================================================
 """
@@ -23,7 +24,7 @@ Configuration knobs mirror the paper's evaluated variants:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional, Set
+from typing import Any, Dict, Optional, Set, Tuple
 
 import repro.obs as obs
 from repro.analysis.alias import AliasAnalysis
@@ -427,7 +428,8 @@ class PennyCompiler:
             return self._compile_unprotected(kernel, launch, policy)
         if config.overwrite == "auto":
             return self._compile_auto(kernel, launch)
-        return self._compile_one(kernel, launch, config.overwrite)
+        result, _ = self._compile_one(kernel, launch, config.overwrite)
+        return result
 
     def _compile_unprotected(
         self, kernel: Kernel, launch: LaunchConfig, policy
@@ -583,23 +585,36 @@ class PennyCompiler:
     def _compile_auto(
         self, kernel: Kernel, launch: LaunchConfig
     ) -> CompileResult:
+        """Compile the RR arm, then the SA arm only if renaming changed
+        the kernel: with no renamed web both arms run the same passes on
+        equal clones, and ``min`` keeps RR on the tie anyway."""
         from repro.core.schemes import Scheme
 
         results = []
         for scheme in (Scheme.RR, Scheme.SA):
             candidate = clone_kernel(kernel)
             with obs.span("compile.candidate", overwrite=scheme.value):
-                results.append(self._compile_one(candidate, launch, scheme))
+                result, renamed = self._compile_one(candidate, launch, scheme)
+            results.append(result)
+            if not renamed:
+                break
         best = min(results, key=lambda r: r.stats["estimated_cost"])
         best.stats["auto_selected"] = best.stats["overwrite_scheme"]
-        obs.event("compile.auto_selected", overwrite=best.stats["auto_selected"])
+        obs.event(
+            "compile.auto_selected",
+            overwrite=best.stats["auto_selected"],
+            arms=len(results),
+        )
         return best
 
     # -- single-scheme pipeline ------------------------------------------------
 
     def _compile_one(
         self, kernel: Kernel, launch: LaunchConfig, overwrite: str
-    ) -> CompileResult:
+    ) -> Tuple[CompileResult, int]:
+        """Compile under one overwrite scheme; also returns how many webs
+        the renaming loop renamed (kept out of the stats, which the
+        compile digests hash)."""
         from repro.core.schemes import Scheme
         from repro.policy import ProtectionPolicy
 
@@ -612,7 +627,7 @@ class PennyCompiler:
 
         # Renaming loop: hazards fixed by renaming change live-ins and LUPs,
         # so the plan is rebuilt until renaming converges.
-        rename_rounds = 0
+        rename_rounds = renamed_webs = 0
         with obs.span("pass.placement", placement=self.config.placement) as placement_span:
             for _ in range(self.config.max_rename_rounds):
                 rename_rounds += 1
@@ -644,16 +659,18 @@ class PennyCompiler:
                     )
                 if renamed == 0:
                     break
+                renamed_webs += renamed
             else:
                 placement_span.tag(rounds=rename_rounds, converged=False)
                 self._raise_renaming(overwrite, kernel, hazardous)
             placement_span.tag(rounds=rename_rounds)
         obs.inc("compile.rename_rounds", rename_rounds)
 
-        return self._lower(
+        result = self._lower(
             kernel, launch, overwrite, cfg, rdefs, regions, liveins,
             cost, plan, instances, hazardous,
         )
+        return result, renamed_webs
 
     def _policy_selection(self, cfg: CFG):
         """The (criticality, top-vulnerable) name sets the configured
