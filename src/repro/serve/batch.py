@@ -238,6 +238,20 @@ def run_job(payload: Dict[str, Any]) -> Tuple[str, Any, float]:
     return "ok", result, time.perf_counter() - start
 
 
+def job_outcome(outcome: Any) -> Tuple[str, Any, float]:
+    """Map what the pool returns for one :func:`run_job` job to ``(status,
+    payload, seconds)``: the runner's own 3-tuple, the pool's 2-tuple
+    ``("error", payload)`` for a ``BaseException`` that escaped the
+    runner, or the :class:`TaskRuntimeError` of a job whose workers
+    died (its ``to_dict()`` is the payload)."""
+    if isinstance(outcome, TaskRuntimeError):
+        return "error", outcome.to_dict(), 0.0
+    if len(outcome) == 2:
+        status, payload = outcome
+        return status, payload, 0.0
+    return outcome
+
+
 def compile_batch(
     jobs: Sequence[CompileJob],
     workers: int = 1,
@@ -316,9 +330,8 @@ def _outcomes(
     jobs: Sequence[CompileJob], todo: Sequence[int], workers: int
 ) -> Iterator[Tuple[int, Tuple[str, Any, float]]]:
     """Yield ``(index, run_job outcome)`` for every job in ``todo``
-    (arrival order; the caller re-sorts by slot).  A job whose workers
-    died past the pool's retry budget ends as ``("error",
-    exc.to_dict(), 0.0)``."""
+    (arrival order; the caller re-sorts by slot), mapped by
+    :func:`job_outcome`."""
     if workers <= 1 or len(todo) <= 1:
         for i in todo:
             yield i, run_job(jobs[i].to_dict())
@@ -331,6 +344,4 @@ def _outcomes(
         for key, outcome in pool.imap_supervised(
             (str(i), jobs[i].to_dict()) for i in todo
         ):
-            if isinstance(outcome, TaskRuntimeError):
-                outcome = ("error", outcome.to_dict(), 0.0)
-            yield int(key), outcome
+            yield int(key), job_outcome(outcome)

@@ -75,7 +75,7 @@ from typing import Any, Dict, Optional, Tuple, Union
 import repro.obs as obs
 from repro.core.pipeline import PennyConfig
 from repro.ir.printer import print_kernel
-from repro.serve.batch import CompileJob
+from repro.serve.batch import CompileJob, job_outcome
 from repro.serve.cache import DEFAULT_MEMORY_BYTES, CompileCache
 from repro.serve.chaos import SITE_CONN_SEND, active_chaos
 from repro.runtime import PoolConfig, TaskRuntimeError, WorkerPool
@@ -468,9 +468,11 @@ class CompileServer:
         digest = key.digest if key is not None else None
         future = self._pool.submit(job.to_dict(), key=digest)
         try:
-            status, payload, _ = await asyncio.wait_for(
-                asyncio.wrap_future(future),
-                timeout=self.config.request_timeout,
+            status, payload, _ = job_outcome(
+                await asyncio.wait_for(
+                    asyncio.wrap_future(future),
+                    timeout=self.config.request_timeout,
+                )
             )
         finally:
             if not future.done():

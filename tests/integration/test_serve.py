@@ -113,6 +113,24 @@ def test_scheme_preset_and_compile_error(server):
     assert "type" in exc_info.value.detail
 
 
+def test_base_exception_escaping_the_runner_is_a_compile_error(
+    server, monkeypatch
+):
+    """The pool's fallback for a ``BaseException`` that escaped
+    ``run_job`` reaches the client as a typed compile error."""
+    import repro.serve.batch as batch_mod
+
+    def exiting(job):
+        raise SystemExit(3)
+
+    monkeypatch.setattr(batch_mod, "_compile_job", exiting)
+    client = _client(server, retry=RetryPolicy(attempts=1))
+    with pytest.raises(RemoteCompileError) as exc_info:
+        client.compile(PTX, config=PennyConfig())
+    assert exc_info.value.detail["type"] == "SystemExit"
+    assert exc_info.value.detail["pass"] == "pool"
+
+
 def test_protocol_errors_are_typed(server):
     client = _client(server, retry=RetryPolicy(attempts=1))
     with pytest.raises(ProtocolError):

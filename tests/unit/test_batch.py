@@ -203,6 +203,25 @@ def test_job_that_kills_its_workers_fails_alone(monkeypatch):
     assert _compile_dicts(report) == expected
 
 
+def test_base_exception_escaping_the_runner_fails_each_job(monkeypatch):
+    """A ``BaseException`` that escapes ``run_job`` in a pool worker comes
+    back as the pool's 2-tuple fallback; each job ends with that typed
+    error.  Inline (``workers=1``) it propagates as before."""
+    import repro.serve.batch as batch_mod
+
+    def exiting(job):
+        raise SystemExit(3)
+
+    monkeypatch.setattr(batch_mod, "_compile_job", exiting)
+    report = compile_batch(_jobs(2), workers=2, cache=None)
+    assert [r.ok for r in report.results] == [False, False]
+    for r in report.results:
+        assert r.error["type"] == "SystemExit"
+        assert r.error["pass"] == "pool"
+    with pytest.raises(SystemExit):
+        compile_batch(_jobs(2), workers=1, cache=None)
+
+
 def test_chaos_worker_kill_is_retried():
     """``worker.kill`` reaches batch workers: the killed job is retried,
     so the batch equals a serial run job for job."""
