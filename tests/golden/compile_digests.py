@@ -3,8 +3,12 @@
 ``compile_digests.json`` maps every program ``<bench>/<config>@<seed>``
 to the SHA-256 of ``print_kernel`` of its compiled kernel and to its
 ``CompileResult.stats``.  The programs are the 24 Table-3 kernels other
-than NQU under Penny, Penny with the ``address-only`` and
-``top-k-vulnerable`` policies and Bolt/Global, plus NQU under Penny.
+than NQU under Penny, Penny with the ``address-only``,
+``top-k-vulnerable``, ``detection-only`` and ``none`` policies,
+Bolt/Global and Bolt/Auto_storage, plus NQU under Penny.  Each of the
+24 also has an ``igpu`` entry: the kernel after
+:func:`repro.core.schemes.igpu_transform`, whose table holds the webs
+it renamed and ``count_registers`` of the result.
 
 Each program is compiled under every ``PYTHONHASHSEED`` in
 :data:`HASH_SEEDS`, one child interpreter per seed: the compiled output
@@ -40,7 +44,17 @@ GOLDEN = Path(__file__).with_name("compile_digests.json")
 HASH_SEEDS = ("0", "7")
 
 #: the configurations every suite kernel is compiled under
-CONFIGS = ("penny", "address-only", "top-k-vulnerable", "bolt-global")
+CONFIGS = (
+    "penny",
+    "address-only",
+    "top-k-vulnerable",
+    "detection-only",
+    "none",
+    "bolt-global",
+    "bolt-auto",
+)
+#: the entry of the iGPU transformation, which is not a compile
+IGPU = "igpu"
 #: compiled under Penny only, like the benchmark's ``compile_nqu`` workload
 NQU = "NQU"
 
@@ -48,12 +62,19 @@ Digests = Dict[str, Dict[str, object]]
 
 
 def _config(label: str):
-    from repro.core.schemes import SCHEME_BOLT_GLOBAL, SCHEME_PENNY, scheme_config
+    from repro.core.schemes import (
+        SCHEME_BOLT_AUTO,
+        SCHEME_BOLT_GLOBAL,
+        SCHEME_PENNY,
+        scheme_config,
+    )
 
     if label == "penny":
         return scheme_config(SCHEME_PENNY)
     if label == "bolt-global":
         return scheme_config(SCHEME_BOLT_GLOBAL)
+    if label == "bolt-auto":
+        return scheme_config(SCHEME_BOLT_AUTO)
     # a protection policy under Penny
     return dataclasses.replace(scheme_config(SCHEME_PENNY), policy=label)
 
@@ -62,7 +83,9 @@ def _compute_here() -> Digests:
     """Compile every program in this interpreter and digest the results."""
     from repro.bench import ALL_BENCHMARKS
     from repro.core.pipeline import PennyCompiler
+    from repro.core.schemes import igpu_transform
     from repro.ir.printer import print_kernel
+    from repro.regalloc import count_registers
 
     programs = [
         (b, label)
@@ -76,12 +99,26 @@ def _compute_here() -> Digests:
         result = PennyCompiler(_config(label)).compile(
             bench.fresh_kernel(), bench.workload().launch_config
         )
-        text = print_kernel(result.kernel)
-        out[f"{bench.abbr}/{label}"] = {
-            "kernel_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
-            "stats": json.loads(canonical_json(result.stats)),
-        }
+        out[f"{bench.abbr}/{label}"] = _digest(
+            print_kernel(result.kernel), result.stats
+        )
+    for bench in ALL_BENCHMARKS:
+        if bench.abbr == NQU:
+            continue
+        kernel = bench.fresh_kernel()
+        webs = igpu_transform(kernel)
+        out[f"{bench.abbr}/{IGPU}"] = _digest(
+            print_kernel(kernel),
+            {"renamed_webs": webs, "registers": count_registers(kernel)},
+        )
     return out
+
+
+def _digest(text: str, stats) -> Dict[str, object]:
+    return {
+        "kernel_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        "stats": json.loads(canonical_json(stats)),
+    }
 
 
 def canonical_json(obj) -> str:
