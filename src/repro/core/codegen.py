@@ -23,7 +23,7 @@ from special registers and buffer bases — never restored from slots).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.cfg import CFG
 from repro.core.checkpoints import (
@@ -218,6 +218,9 @@ class _CheckpointLowering:
         self.result = result
         self.base_shared: Optional[Reg] = None
         self.base_global: Optional[Reg] = None
+        #: register names in use, scanned at the first address temporary:
+        #: the kernel gains no other names while it is lowered
+        self.names: Optional[Set[str]] = None
 
     def run(self) -> None:
         if self.low_opts and self.storage.slots:
@@ -294,6 +297,11 @@ class _CheckpointLowering:
         entry = self.kernel.entry
         entry.instructions[0:0] = insts
 
+    def _address_reg(self) -> Reg:
+        if self.names is None:
+            self.names = {r.name for r in self.kernel.all_registers()}
+        return self.kernel.fresh_reg(DType.U32, prefix="%ca", in_use=self.names)
+
     def _slot_offset(self, kind: StorageKind, index: int) -> int:
         if kind is StorageKind.SHARED:
             return index * self.storage.threads_per_block * 4
@@ -325,7 +333,7 @@ class _CheckpointLowering:
 
         # Unoptimized: recompute the effective address inline.
         insts: List[Instruction] = []
-        t0 = self.kernel.fresh_reg(DType.U32, prefix="%ca")
+        t0 = self._address_reg()
         if slot.kind is StorageKind.SHARED:
             insts.append(
                 Alu("mov", DType.U32, t0, [SymRef(SHARED_CKPT_SYMBOL)])
@@ -334,7 +342,7 @@ class _CheckpointLowering:
                 Alu("mad", DType.U32, t0, [Special("%tid.x"), Imm(4), t0])
             )
         else:
-            t1 = self.kernel.fresh_reg(DType.U32, prefix="%ca")
+            t1 = self._address_reg()
             insts.append(Alu("mov", DType.U32, t1, [Special("%ctaid.x")]))
             insts.append(
                 Alu(

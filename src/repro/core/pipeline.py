@@ -264,6 +264,12 @@ def clone_kernel(kernel: Kernel) -> Kernel:
     (checkpoint stores present) but silently recovers nothing.  Detect
     that and raise :class:`repro.core.errors.CloneError` instead.
     """
+    return parse_kernel(_pristine_text(kernel))
+
+
+def _pristine_text(kernel: Kernel) -> str:
+    """The text of a pre-compilation kernel, which parses back to an
+    equal kernel (:func:`clone_kernel` explains the ``CloneError``)."""
     present = [k for k in _COMPILED_META_KEYS if k in kernel.meta]
     if present:
         raise CloneError(
@@ -272,7 +278,7 @@ def clone_kernel(kernel: Kernel) -> Kernel:
             kernel=kernel,
             detail={"meta_keys": present},
         )
-    return parse_kernel(print_kernel(kernel))
+    return print_kernel(kernel)
 
 
 class PennyCompiler:
@@ -312,6 +318,16 @@ class PennyCompiler:
         launch: Optional[LaunchConfig] = None,
         copy: bool = True,
     ) -> CompileResult:
+        """Compile ``kernel`` under this compiler's configuration.
+
+        With ``copy=True`` the passes run on a private clone and the
+        active compile cache applies.  With ``copy=False`` they rewrite
+        ``kernel`` in place, the cache is bypassed, and under
+        ``overwrite="auto"`` the RR arm is what rewrites it: when SA
+        wins, ``result.kernel`` is the SA arm's kernel and ``kernel``
+        holds the RR arm's rewrite.  An error from either arm that
+        carries no snapshot of its own keeps the text of the input.
+        """
         launch = launch or LaunchConfig()
         cache = self.cache
         if cache is None:
@@ -585,19 +601,30 @@ class PennyCompiler:
     def _compile_auto(
         self, kernel: Kernel, launch: LaunchConfig
     ) -> CompileResult:
-        """Compile the RR arm, then the SA arm only if renaming changed
-        the kernel: with no renamed web both arms run the same passes on
-        equal clones, and ``min`` keeps RR on the tie anyway."""
+        """Compile the RR arm on ``kernel`` itself, then the SA arm on a
+        parse of its text from before, only if renaming changed the
+        kernel: with no renamed web both arms run the same passes on
+        equal kernels, and ``min`` keeps RR on the tie anyway.  An arm's
+        error without a snapshot gets that text, not the rewrite."""
         from repro.core.schemes import Scheme
 
+        pristine = _pristine_text(kernel)
         results = []
-        for scheme in (Scheme.RR, Scheme.SA):
-            candidate = clone_kernel(kernel)
-            with obs.span("compile.candidate", overwrite=scheme.value):
-                result, renamed = self._compile_one(candidate, launch, scheme)
-            results.append(result)
-            if not renamed:
-                break
+        candidate = kernel
+        try:
+            for scheme in (Scheme.RR, Scheme.SA):
+                with obs.span("compile.candidate", overwrite=scheme.value):
+                    result, renamed = self._compile_one(
+                        candidate, launch, scheme
+                    )
+                results.append(result)
+                if not renamed:
+                    break
+                candidate = parse_kernel(pristine)
+        except CompileError as exc:
+            if exc.kernel_ptx is None:
+                exc.kernel_ptx = pristine
+            raise
         best = min(results, key=lambda r: r.stats["estimated_cost"])
         best.stats["auto_selected"] = best.stats["overwrite_scheme"]
         obs.event(

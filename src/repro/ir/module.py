@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.ir.instructions import Bra, Instruction
 from repro.ir.types import DType, MemSpace, Reg
@@ -142,11 +142,24 @@ class Kernel:
             if label not in existing:
                 return label
 
-    def fresh_reg(self, dtype: DType = DType.U32, prefix: str = "%t") -> Reg:
-        existing = {r.name for r in self.all_registers()}
+    def fresh_reg(
+        self,
+        dtype: DType = DType.U32,
+        prefix: str = "%t",
+        in_use: Optional[Set[str]] = None,
+    ) -> Reg:
+        """A register named ``prefix`` plus the next counter value that no
+        register of the kernel uses.  A caller naming many registers in a
+        row passes ``in_use``, the set of names in use, which this method
+        extends with each name it returns; without it the kernel is
+        scanned."""
+        existing = (
+            {r.name for r in self.all_registers()} if in_use is None else in_use
+        )
         while True:
             name = f"{prefix}{next(self._reg_counter)}"
             if name not in existing:
+                existing.add(name)
                 return Reg(name, dtype)
 
     def split_block(self, label: str, index: int, new_label: Optional[str] = None) -> BasicBlock:

@@ -111,7 +111,6 @@ def allocate(
     mapping: Dict[str, str] = {}
     spilled: List[str] = []
     active: List[Tuple[int, int]] = []  # (end, phys index), sorted by end
-    free: List[int] = list(range(budget))
     used_phys: Set[int] = set()
     by_reg: Dict[str, Interval] = {iv.reg.name: iv for iv in intervals}
 
@@ -119,9 +118,10 @@ def allocate(
         # Expire intervals that ended before this one starts.
         active = [a for a in active if a[0] >= iv.start]
         in_use = {idx for _, idx in active}
-        avail = [i for i in free if i not in in_use]
-        if avail:
-            phys = min(avail)
+        # The smallest free index: in start order this keeps the indices
+        # in use below the interval graph's clique number.
+        phys = next((i for i in range(budget) if i not in in_use), None)
+        if phys is not None:
             mapping[iv.reg.name] = f"{phys_prefix}{phys}"
             used_phys.add(phys)
             active.append((iv.end, phys))

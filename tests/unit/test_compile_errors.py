@@ -82,6 +82,31 @@ class TestErrorHierarchy:
             PennyCompiler(PennyConfig()).compile(kernel, LAUNCH)
         assert isinstance(ei.value, ValueError)  # legacy contract
 
+    @pytest.mark.parametrize("copy", [True, False])
+    def test_auto_rr_arm_error_keeps_the_input_snapshot(
+        self, copy, monkeypatch
+    ):
+        """A pass that fails with no kernel in scope, inside the RR arm
+        of an auto compile, reports the kernel it was handed, not the
+        arm's half-compiled rewrite of it."""
+        import repro.core.pipeline as pipeline
+        from repro.bench import get_benchmark
+        from repro.core.errors import RecoveryMetaError
+        from repro.ir import print_kernel
+
+        def failing(*args, **kwargs):
+            raise RecoveryMetaError("no recovery table")
+
+        monkeypatch.setattr(pipeline, "build_recovery_table", failing)
+        bench = get_benchmark("STC")
+        kernel = bench.fresh_kernel()
+        source = print_kernel(kernel)
+        with pytest.raises(RecoveryMetaError) as ei:
+            PennyCompiler(PennyConfig(overwrite="auto")).compile(
+                kernel, bench.workload().launch_config, copy=copy
+            )
+        assert ei.value.kernel_ptx == source
+
 
 class TestCloneGuard:
     def test_clone_of_compiled_kernel_raises(self):

@@ -77,6 +77,61 @@ class TestRegalloc:
             allocate(little_kernel(), budget=1)
 
 
+def _allocation_kernels():
+    """Every suite kernel compiled under Penny, plus 30 fuzz kernels."""
+    from repro.bench import ALL_BENCHMARKS
+    from repro.fuzz.generator import generate_case
+
+    kernels = [
+        PennyCompiler(scheme_config(SCHEME_PENNY))
+        .compile(b.fresh_kernel(), b.workload().launch_config)
+        .kernel
+        for b in ALL_BENCHMARKS
+    ]
+    return kernels + [generate_case(seed).kernel() for seed in range(30)]
+
+
+class TestFirstFreeRegister:
+    """Linear scan in start order that takes the smallest free index uses
+    exactly as many registers as the most intervals sharing one point
+    (the clique number of the interval graph), capped at the budget."""
+
+    @pytest.fixture(scope="class")
+    def kernels(self):
+        return _allocation_kernels()
+
+    @pytest.mark.parametrize("budget", [4, 8, 256])
+    def test_num_regs_is_the_capped_clique_number(self, kernels, budget):
+        from repro.regalloc.allocator import _live_intervals
+
+        for kernel in kernels:
+            intervals, _ = _live_intervals(kernel)
+            points = {iv.start for iv in intervals}
+            clique = max(
+                sum(iv.start <= p <= iv.end for iv in intervals)
+                for p in points
+            )
+            result = allocate(kernel, budget=budget, rewrite=False)
+            assert result.num_regs == min(budget, clique), kernel.name
+
+    @pytest.mark.parametrize("budget", [4, 8, 256])
+    def test_overlapping_intervals_never_share_a_register(
+        self, kernels, budget
+    ):
+        from repro.regalloc.allocator import _live_intervals
+
+        for kernel in kernels:
+            intervals, _ = _live_intervals(kernel)
+            mapping = allocate(kernel, budget=budget, rewrite=False).mapping
+            placed = [iv for iv in intervals if iv.reg.name in mapping]
+            for i, a in enumerate(placed):
+                for b in placed[i + 1:]:
+                    if a.overlaps(b):
+                        assert mapping[a.reg.name] != mapping[b.reg.name], (
+                            kernel.name, a.reg.name, b.reg.name
+                        )
+
+
 class TestSchemePresets:
     def test_known_schemes(self):
         for name in (SCHEME_BOLT_GLOBAL, SCHEME_BOLT_AUTO, SCHEME_PENNY):
@@ -189,6 +244,41 @@ class TestPipeline:
             "emitted_checkpoints",
         ):
             assert key in result.stats
+
+    def test_unoptimized_lowering_scans_register_names_once(
+        self, monkeypatch
+    ):
+        """Bolt/Global lowers every checkpoint with inline address
+        temporaries; naming them all takes one scan of the kernel."""
+        import repro.core.pipeline as pipeline
+        from repro.bench import get_benchmark
+        from repro.ir.module import Kernel
+
+        scans = []
+        real_scan = Kernel.all_registers
+        real_generate = pipeline.generate
+        in_codegen = []
+
+        def counting_scan(self):
+            if in_codegen:
+                scans.append(self.name)
+            return real_scan(self)
+
+        def generate(*args, **kwargs):
+            in_codegen.append(True)
+            try:
+                return real_generate(*args, **kwargs)
+            finally:
+                in_codegen.pop()
+
+        monkeypatch.setattr(Kernel, "all_registers", counting_scan)
+        monkeypatch.setattr(pipeline, "generate", generate)
+        bench = get_benchmark("STC")
+        result = PennyCompiler(scheme_config(SCHEME_BOLT_GLOBAL)).compile(
+            bench.fresh_kernel(), bench.workload().launch_config
+        )
+        assert result.stats["emitted_checkpoints"] >= 3
+        assert len(scans) == 1
 
     def test_param_noalias_reduces_boundaries(self):
         b = KernelBuilder("two", params=[("A", "ptr"), ("B", "ptr")])
@@ -330,6 +420,40 @@ class TestAutoArms:
             **cheaper.stats,
             "auto_selected": cheaper.stats["overwrite_scheme"],
         }
+
+    @pytest.mark.parametrize("copy, parses", [(True, 1), (False, 0)])
+    def test_auto_parses_only_the_private_copy(
+        self, copy, parses, monkeypatch
+    ):
+        """The RR arm compiles the kernel ``_compile_auto`` is handed: a
+        kernel renaming leaves alone is parsed only by ``pass.clone``."""
+        import repro.core.pipeline as pipeline
+        from repro.bench import get_benchmark
+
+        calls = []
+        real = pipeline.parse_kernel
+
+        def counting(text):
+            calls.append(text)
+            return real(text)
+
+        monkeypatch.setattr(pipeline, "parse_kernel", counting)
+        bench = get_benchmark("BFS")
+        PennyCompiler(PennyConfig(overwrite="auto")).compile(
+            bench.fresh_kernel(), bench.workload().launch_config, copy=copy
+        )
+        assert len(calls) == parses
+
+    def test_auto_without_copy_returns_the_callers_kernel(self):
+        from repro.bench import get_benchmark
+
+        bench = get_benchmark("BFS")
+        kernel = bench.fresh_kernel()
+        result = PennyCompiler(PennyConfig(overwrite="auto")).compile(
+            kernel, bench.workload().launch_config, copy=False
+        )
+        assert result.stats["auto_selected"] == "rr"
+        assert result.kernel is kernel
 
     @pytest.mark.parametrize("kernel, arms", [("BFS", 1), ("figure4", 2)])
     def test_auto_compiles_sa_only_after_a_rename(self, kernel, arms):
