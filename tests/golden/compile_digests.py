@@ -2,13 +2,12 @@
 
 ``compile_digests.json`` maps every program ``<bench>/<config>@<seed>``
 to the SHA-256 of ``print_kernel`` of its compiled kernel and to its
-``CompileResult.stats``.  The programs are the 24 Table-3 kernels other
-than NQU under Penny, Penny with the ``address-only``,
-``top-k-vulnerable``, ``detection-only`` and ``none`` policies,
-Bolt/Global and Bolt/Auto_storage, plus NQU under Penny.  Each of the
-24 also has an ``igpu`` entry: the kernel after
-:func:`repro.core.schemes.igpu_transform`, whose table holds the webs
-it renamed and ``count_registers`` of the result.
+``CompileResult.stats``.  The programs are the 25 Table-3 kernels under
+Penny, Penny with the ``address-only``, ``top-k-vulnerable``,
+``detection-only`` and ``none`` policies, Bolt/Global and
+Bolt/Auto_storage.  Each of the 25 also has an ``igpu`` entry: the
+kernel after :func:`repro.core.schemes.igpu_transform`, whose table
+holds the webs it renamed and ``count_registers`` of the result.
 
 Each program is compiled under every ``PYTHONHASHSEED`` in
 :data:`HASH_SEEDS`, one child interpreter per seed: the compiled output
@@ -55,8 +54,6 @@ CONFIGS = (
 )
 #: the entry of the iGPU transformation, which is not a compile
 IGPU = "igpu"
-#: compiled under Penny only, like the benchmark's ``compile_nqu`` workload
-NQU = "NQU"
 
 Digests = Dict[str, Dict[str, object]]
 
@@ -87,13 +84,7 @@ def _compute_here() -> Digests:
     from repro.ir.printer import print_kernel
     from repro.regalloc import count_registers
 
-    programs = [
-        (b, label)
-        for b in ALL_BENCHMARKS
-        if b.abbr != NQU
-        for label in CONFIGS
-    ]
-    programs.append((ALL_BENCHMARKS[NQU], "penny"))
+    programs = [(b, label) for b in ALL_BENCHMARKS for label in CONFIGS]
     out: Digests = {}
     for bench, label in programs:
         result = PennyCompiler(_config(label)).compile(
@@ -103,8 +94,6 @@ def _compute_here() -> Digests:
             print_kernel(result.kernel), result.stats
         )
     for bench in ALL_BENCHMARKS:
-        if bench.abbr == NQU:
-            continue
         kernel = bench.fresh_kernel()
         webs = igpu_transform(kernel)
         out[f"{bench.abbr}/{IGPU}"] = _digest(
