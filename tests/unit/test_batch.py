@@ -10,6 +10,7 @@ warm second run must be served from the cache.
 import os
 import signal
 import threading
+import time
 
 import pytest
 
@@ -222,19 +223,27 @@ def test_base_exception_escaping_the_runner_fails_each_job(monkeypatch):
         compile_batch(_jobs(2), workers=1, cache=None)
 
 
-def test_chaos_worker_kill_is_retried():
+def test_chaos_worker_kill_is_retried(monkeypatch):
     """``worker.kill`` reaches batch workers: the killed job is retried,
     so the batch equals a serial run job for job."""
-    from repro.bench import get_benchmark
-    from repro.ir.printer import print_kernel
+    import repro.serve.batch as batch_mod
 
-    # NQU's ~0.4 s compile keeps the pool running past the killed
-    # worker's restart backoff.
+    real_compile = batch_mod._compile_job
+
+    def slow_compile(job):
+        # The slow job keeps the pool running past the killed worker's
+        # restart backoff.
+        if job.name == "slow":
+            time.sleep(0.5)
+        return real_compile(job)
+
+    monkeypatch.setattr(batch_mod, "_compile_job", slow_compile)
     jobs = _jobs(3) + [
         CompileJob(
-            ptx=print_kernel(get_benchmark("NQU").fresh_kernel()),
+            ptx=KERNEL_TEMPLATE.format(i=3, mult=6),
             config=PennyConfig(),
-            name="NQU",
+            launch=LAUNCH,
+            name="slow",
         )
     ]
     serial = compile_batch(jobs, workers=1, cache=None)
