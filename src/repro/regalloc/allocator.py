@@ -84,7 +84,9 @@ def _live_intervals(kernel: Kernel) -> Tuple[List[Interval], Dict[str, int]]:
     intervals = [
         Interval(reg, starts[reg], ends[reg]) for reg in starts
     ]
-    intervals.sort(key=lambda iv: (iv.start, iv.end))
+    # Ties are broken by name: first-touch order follows the iteration
+    # order of the liveness sets, which depends on the hash seed.
+    intervals.sort(key=lambda iv: (iv.start, iv.end, iv.reg.name))
     return intervals, dict(
         (label, block_span[label][0]) for label in block_span
     )

@@ -1,5 +1,11 @@
 """Compiler pipeline configuration, scheme presets, iGPU, and regalloc."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.pipeline import (
@@ -75,6 +81,50 @@ class TestRegalloc:
     def test_budget_too_small_rejected(self):
         with pytest.raises(ValueError):
             allocate(little_kernel(), budget=1)
+
+    def test_allocation_does_not_depend_on_the_hash_seed(self):
+        """Intervals that tie on start and end are taken in name order,
+        not in the order of the liveness sets, which follows the hash
+        seed: two child interpreters at different seeds allocate the
+        suite's input kernels and 100 fuzz kernels alike."""
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        path = os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        )
+        children = [
+            subprocess.Popen(
+                [sys.executable, "-c", _ALLOCATIONS],
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+                stdout=subprocess.PIPE,
+                text=True,
+            )
+            for seed in ("1", "2")
+        ]
+        outputs = []
+        for child in children:
+            stdout, _ = child.communicate(timeout=300)
+            assert child.returncode == 0
+            outputs.append(json.loads(stdout))
+        assert len(outputs[0]) == 125 * 7
+        assert outputs[0] == outputs[1]
+
+
+#: prints ``[mapping, spilled]`` of every allocation, in a fixed order
+_ALLOCATIONS = """
+import json
+from repro.bench import ALL_BENCHMARKS
+from repro.fuzz.generator import generate_case
+from repro.regalloc import allocate
+
+kernels = [b.fresh_kernel() for b in ALL_BENCHMARKS]
+kernels += [generate_case(seed).kernel() for seed in range(100)]
+out = []
+for kernel in kernels:
+    for budget in (2, 3, 4, 8, 16, 63, 256):
+        result = allocate(kernel, budget=budget, rewrite=False)
+        out.append([result.mapping, result.spilled])
+print(json.dumps(out, sort_keys=True))
+"""
 
 
 def _allocation_kernels():
