@@ -1,9 +1,12 @@
 """Compile-time benchmarks: the paper claims near-linear optimal pruning
 (O(mn) with no SCCs in practice) and polynomial bimodal placement.  The
-pruning benchmarks scale two shapes: a straight-line chain of regions,
-where every value has one definition, and a chain of two-way diamonds,
-where the value reaching the end depends on 2^k paths through k joins, so
-a validator that walked paths instead of definitions would blow up.
+pruning benchmarks scale three shapes: a straight-line chain of regions,
+where every value has one definition; a chain of two-way diamonds, where
+the value reaching the end depends on 2^k paths through k joins, so a
+validator that walked paths instead of definitions would blow up; and a
+ring of loop-carried registers, each checkpointed, where a validator that
+kept walking a merge after an INVALID input would walk the whole ring
+from every checkpoint (quadratic).
 
 Timings go through the :mod:`repro.perf` repeater (warmup discard, GC
 isolation, CI-driven stopping), so the recorded medians carry
@@ -103,6 +106,31 @@ def _diamond_kernel(n_diamonds: int):
     return b.finish()
 
 
+def _ring_kernel(n_regs: int):
+    """``n_regs`` registers carried around a loop, ``r_j = r_(j+1) + 1``,
+    each first loaded from ``A[tid]``; the loop loads and stores
+    ``A[tid]``, so its region cut leaves every register live."""
+    b = KernelBuilder("ring", params=[("A", "ptr"), ("n", "u32")])
+    tid = b.special_u32("%tid.x")
+    n = b.ld_param("n")
+    addr = b.add(b.ld_param("A"), b.shl(tid, 2))
+    regs = [
+        b.ld("global", addr, dst=b.reg("u32", f"%r{j}"))
+        for j in range(n_regs)
+    ]
+    i = b.mov(0, dst=b.reg("u32", "%i"))
+    b.label("LOOP")
+    v = b.ld("global", addr, dtype="u32")
+    for j in range(n_regs):
+        b.add(regs[(j + 1) % n_regs], 1, dst=regs[j])
+    b.st("global", addr, b.add(v, regs[0]))
+    b.add(i, 1, dst=i)
+    b.bra("LOOP", pred=b.setp("lt", i, n))
+    b.label("EXIT")
+    b.ret()
+    return b.finish()
+
+
 def _pruning_median(kernel) -> float:
     form_regions(kernel)
     cfg = CFG(kernel)
@@ -134,7 +162,14 @@ def _pruning_median(kernel) -> float:
     return rep.summary.median
 
 
-_SHAPES = {"regions": _chain_kernel, "diamonds": _diamond_kernel}
+_SHAPES = {
+    "regions": _chain_kernel,
+    "diamonds": _diamond_kernel,
+    "ring": _ring_kernel,
+}
+#: the largest growth allowed for a 4x size: ~quadratic, generously, on a
+#: noisy box; the ring, which a quadratic walk would hit, at half that
+_MAX_GROWTH = {"regions": 16.0, "diamonds": 16.0, "ring": 8.0}
 
 
 @pytest.mark.parametrize("shape", sorted(_SHAPES))
@@ -147,9 +182,7 @@ def test_optimal_pruning_scales(shape):
         f"prune_optimal: 8 {shape} {small*1e3:.2f}ms -> "
         f"32 {shape} {large*1e3:.2f}ms ({growth:.1f}x for 4x {shape})",
     )
-    # Near-linear claim, generously gated: a 4x size may not exceed
-    # ~quadratic growth even on a noisy box.
-    assert growth < 16.0, (
+    assert growth < _MAX_GROWTH[shape], (
         f"pruning grew {growth:.1f}x for a 4x {shape} increase "
         f"({small*1e3:.2f}ms -> {large*1e3:.2f}ms)"
     )
